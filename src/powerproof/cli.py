@@ -15,6 +15,7 @@ from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from .cosets import Presentation, enumerate_cosets
 from .engel import engel_target, engel_word
 from .proofwords import (
+    ProofWord,
     fold,
     parse_proof,
     proof_str,
@@ -32,6 +33,12 @@ def _read_word_file(path: str, alphabet: Alphabet = AB) -> Word:
     with open(path) as f:
         text = "".join(line for line in f if not line.lstrip().startswith("#"))
     return parse_word(text, alphabet)
+
+
+def _read_proof(path: str) -> ProofWord:
+    """Proof-word text from a file, parsed."""
+    with open(path) as f:
+        return parse_proof(f.read())
 
 
 def _read_words_file(path: str, alphabet: Alphabet = AB) -> list[Word]:
@@ -88,7 +95,7 @@ def _relator_set(args):
 
 
 def _cmd_verify(args) -> int:
-    proof = parse_proof(open(args.proof).read())
+    proof = _read_proof(args.proof)
     target = _target_word(args)
     relators = _relator_set(args)
     if relators is not None:
@@ -105,7 +112,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    st = stats(parse_proof(open(args.proof).read()), args.exponent)
+    st = stats(_read_proof(args.proof), args.exponent)
     print(f"overall length {st.overall_length}")
     print(f"count of relators {st.relator_count}")
     print(f"sum of relator lengths {st.relator_length_sum}")
@@ -118,7 +125,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    print(proof_str(fold(parse_proof(open(args.proof).read()))))
+    print(proof_str(fold(_read_proof(args.proof))))
     return 0
 
 
@@ -145,7 +152,11 @@ def _cmd_search(args) -> int:
     if not result.found:
         print("NOT FOUND")
         return 1
-    print(proof_str(reconstruct(result.log, core, outer)))
+    proof = reconstruct(result.log, core, outer)
+    if not verify(proof, target, relators=relators).valid:
+        print("error: the reconstructed proof does not verify", file=sys.stderr)
+        return 1
+    print(proof_str(proof))
     return 0
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Iterator
 
 from .bracelets import BraceletClass, bracelet_canon, word_key
@@ -42,6 +43,44 @@ class RelatorSet:
 
     def __contains__(self, w: Word) -> bool:
         return w in self.members
+
+    @cached_property
+    def _append_index(self) -> tuple[list, list]:
+        """Per state length n (capped at the longest member): the suffix
+        tables of the member lengths <= n, and the members longer than n.
+
+        A suffix table serves the members of one length m: it maps a word of
+        length ceil(m/2) to the members whose first ceil(m/2) letters are its
+        inverse, sorted.  Built on first use, so equality, hashing and
+        membership never touch it.
+        """
+        ordered = sorted(self.members, key=lambda r: (len(r), r))
+        tables: dict[int, dict[Word, list[Word]]] = {}
+        for r in ordered:
+            half = (len(r) + 1) // 2
+            tables.setdefault(len(r), {}).setdefault(invert(r[:half]), []).append(r)
+        longest = len(ordered[-1]) if ordered else 0
+        short = [
+            [((m + 1) // 2, table) for m, table in tables.items() if m <= n]
+            for n in range(longest + 1)
+        ]
+        longer = [[r for r in ordered if len(r) > n] for n in range(longest + 1)]
+        return short, longer
+
+    def appendable(self, w: Word) -> list[Word]:
+        """Members that may be appended to w, ordered by (length, word).
+
+        A member r no longer than w qualifies only if appending it cancels at
+        least half of r, i.e. r[:h] == invert(w[-h:]) with h = ceil(len(r)/2);
+        members longer than w always qualify.
+        """
+        short, longer = self._append_index
+        n = min(len(w), len(short) - 1)
+        out: list[Word] = []
+        for half, table in short[n]:
+            out += table.get(w[-half:], ())
+        out += longer[n]
+        return out
 
 
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:

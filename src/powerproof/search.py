@@ -105,18 +105,9 @@ def _moves_of(node: _Node) -> tuple[Move, ...]:
     return tuple(reversed(moves))
 
 
-def _cancellation(w: Word, r: Word) -> int:
-    """Number of letters that cancel when r is appended to w."""
-    k = 0
-    limit = min(len(w), len(r))
-    while k < limit and w[-1 - k] == -r[k]:
-        k += 1
-    return k
-
-
 def _beam_attempt(
     start: Word,
-    members: list[Word],
+    relators: RelatorSet,
     letters: list[int],
     config: SearchConfig,
     max_len: int,
@@ -125,36 +116,38 @@ def _beam_attempt(
     """One deterministic beam run; returns a completed log or None."""
     if start == ():
         return MoveLog(start, ())
+    conjugations = [Conjugate(g) for g in letters]
+    appends = {r: Append(r) for r in relators.members}
     visited = {start}
     beam = [_Node(start, None, None)]
     for _ in range(config.max_moves):
         candidates: dict[Word, _Node] = {}
-
-        def consider(word: Word, parent: _Node, move: Move):
-            result.moves_tried += 1
-            if len(word) > max_len or word in visited or word in candidates:
-                return
-            candidates[word] = _Node(word, parent, move)
-
         for node in beam:
             w = node.word
-            for g in letters:
-                consider(apply_move(w, Conjugate(g)), node, Conjugate(g))
-            n = len(w)
-            for r in members:
-                # Appends must cancel at least half the relator, except from
-                # states already shorter than the relator.
-                if n >= len(r) and _cancellation(w, r) * 2 < len(r):
-                    continue
-                consider(concat_reduce(w, r), node, Append(r))
+            # Appends must cancel at least half the relator, except from
+            # states already shorter than the relator.
+            moves = conjugations + [appends[r] for r in relators.appendable(w)]
+            result.moves_tried += len(moves)
+            for move in moves:
+                word = apply_move(w, move)
+                if len(word) <= max_len and word not in visited and word not in candidates:
+                    candidates[word] = _Node(word, node, move)
         if not candidates:
             return None
         if () in candidates:
-            win = candidates[()]
-            return MoveLog(start, _moves_of(win))
-        ranked = sorted(candidates.items(), key=lambda item: (len(item[0]), item[0]))
-        beam = [node for _, node in ranked[: config.beam_width]]
-        visited.update(word for word, _ in ranked[: config.beam_width])
+            return MoveLog(start, _moves_of(candidates[()]))
+        # Rank by (length, word): sort each length natively, shortest first,
+        # until the beam is full.
+        by_length: dict[int, list[Word]] = {}
+        for word in candidates:
+            by_length.setdefault(len(word), []).append(word)
+        chosen: list[Word] = []
+        for length in sorted(by_length):
+            chosen += sorted(by_length[length])[: config.beam_width - len(chosen)]
+            if len(chosen) == config.beam_width:
+                break
+        beam = [candidates[word] for word in chosen]
+        visited.update(chosen)
         result.states_visited += len(beam)
     return None
 
@@ -174,10 +167,7 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     start = invert(target)
     max_len = config.max_word_length if config.max_word_length is not None else 4 * len(target)
     max_len = max(max_len, len(target))
-    letters = sorted(
-        {abs(x) for r in relators.members for x in r} | {abs(x) for x in target},
-        key=lambda g: g,
-    )
+    letters = sorted({abs(x) for r in relators.members for x in r} | {abs(x) for x in target})
     letters = [s * g for g in letters for s in (1, -1)]
     rng = random.Random(config.seed)
     all_bases = [c.canonical for c in relators.bases]
@@ -189,9 +179,8 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
         else:
             subset = rng.sample(all_bases, config.base_subset_size)
             active = symmetrize(subset, relators.exponent)
-        members = sorted(active.members, key=lambda r: (len(r), r))
         result.restarts_used = attempt
-        log = _beam_attempt(start, members, letters, config, max_len, result)
+        log = _beam_attempt(start, active, letters, config, max_len, result)
         if log is not None:
             result.log = log
             break

@@ -1,6 +1,8 @@
 import importlib.resources
 
+from powerproof import cli
 from powerproof.cli import main
+from powerproof.proofwords import ProofWord
 
 FIXTURE = str(importlib.resources.files("powerproof").joinpath("data/e5_proof_26_powers.txt"))
 
@@ -97,6 +99,19 @@ def test_search_outputs_are_byte_stable(capsys):
     code_a, out_a, _ = run(capsys, *args)
     code_b, out_b, _ = run(capsys, *args)
     assert (code_a, out_a) == (code_b, out_b)
+    assert code_a == 0 and out_a == "Ba(AAA)(ababab)(BABBABBAB)(bababa)Ab\n"
+
+
+def test_search_refuses_a_proof_that_does_not_verify(monkeypatch, capsys):
+    def corrupted(log, target, outer=()):
+        return ProofWord(((), ()), ((1, 1, 1),))
+
+    monkeypatch.setattr(cli, "reconstruct", corrupted)
+    code, out, err = run(
+        capsys, "search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3", "--seed", "9"
+    )
+    assert code == 1 and out == ""
+    assert "error:" in err
 
 
 def test_search_not_found(tmp_path, capsys):

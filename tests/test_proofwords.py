@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.engel import engel_word
@@ -20,7 +22,15 @@ from powerproof.proofwords import (
     symmetrize,
     verify,
 )
-from powerproof.words import AB, ParseError, invert, parse_word as P, rotations
+from powerproof.words import (
+    AB,
+    ParseError,
+    cyclic_reduce,
+    free_reduce,
+    invert,
+    parse_word as P,
+    rotations,
+)
 from util import random_proof
 
 
@@ -53,6 +63,42 @@ def test_symmetrize_rejects_bad_base():
 def test_symmetrize_dedupes_bases():
     rs = symmetrize([P("AbA"), P("bAA"), P("aaB")], 4)
     assert len(rs.bases) == 1
+
+
+reduced_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24).map(
+    lambda letters: free_reduce(tuple(letters))
+)
+base_words = reduced_words.map(lambda w: cyclic_reduce(w)[0]).filter(bool)
+
+
+def naive_appendable(relators, w):
+    """Members, by (length, word), that cancel at least half of themselves
+    against w, plus every member longer than w."""
+    out = []
+    for r in sorted(relators.members, key=lambda r: (len(r), r)):
+        k = 0
+        while k < min(len(w), len(r)) and w[-1 - k] == -r[k]:
+            k += 1
+        if len(w) < len(r) or 2 * k >= len(r):
+            out.append(r)
+    return out
+
+
+@given(st.lists(base_words, min_size=1, max_size=4), st.integers(2, 5), st.lists(reduced_words, max_size=8))
+def test_appendable_matches_naive_filter(bases, exponent, states):
+    rs = symmetrize(bases, exponent)
+    for w in states:
+        assert rs.appendable(w) == naive_appendable(rs, w)
+    # the lazily built index takes no part in equality or hashing
+    fresh = symmetrize(bases, exponent)
+    assert rs == fresh and hash(rs) == hash(fresh)
+
+
+def test_appendable_examples():
+    rs = symmetrize([P("ab")], 2)  # abab, baba, BABA, ABAB
+    assert rs.appendable(()) == sorted(rs.members)
+    assert rs.appendable(P("BABABA")) == [P("abab")]
+    assert rs.appendable(P("aaaaa")) == []
 
 
 def test_parse_proof_example():
