@@ -85,11 +85,11 @@ def _cmd_bracelets(args) -> int:
 
 
 def _relator_set(args):
-    if args.bases:
+    if args.bases is not None:
         return symmetrize(_read_words_file(args.bases), args.exponent)
-    if args.max_base_len:
+    if args.max_base_len is not None:
         return symmetrize(_base_classes(args.max_base_len, lyndon=False), args.exponent)
-    if getattr(args, "lyndon_upto", None):
+    if getattr(args, "lyndon_upto", None) is not None:
         return symmetrize(_base_classes(args.lyndon_upto, lyndon=True), args.exponent)
     return None
 
@@ -172,6 +172,16 @@ def _cmd_order(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="powerproof")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -197,9 +207,13 @@ def build_parser() -> argparse.ArgumentParser:
     def add_bases(p, with_lyndon: bool):
         g = p.add_mutually_exclusive_group()
         g.add_argument("--bases", help="file of base words, one per line")
-        g.add_argument("--max-base-len", type=int, help="all reduced bracelets up to this length")
+        g.add_argument(
+            "--max-base-len", type=_positive_int, help="all reduced bracelets up to this length"
+        )
         if with_lyndon:
-            g.add_argument("--lyndon-upto", type=int, help="all Lyndon words up to this length")
+            g.add_argument(
+                "--lyndon-upto", type=_positive_int, help="all Lyndon words up to this length"
+            )
 
     p = sub.add_parser("verify", help="check a proof word against a target")
     p.add_argument("--proof", required=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .bracelets import BraceletClass, bracelet_canon, word_key
 from .words import (
@@ -25,12 +25,49 @@ from .words import (
     Word,
     free_reduce,
     invert,
+    invert_packed,
     is_cyclically_reduced,
     is_freely_reduced,
+    pack,
     power,
     rotations,
     word_str,
 )
+
+
+# The search's moves live here so that the relator index can carry each
+# member's Append.
+@dataclass(frozen=True)
+class Conjugate:
+    """Conjugation by one signed generator letter: w -> g^-1 w g."""
+
+    letter: int
+
+
+@dataclass(frozen=True)
+class Append:
+    """Right-multiplication by a relator: w -> w r."""
+
+    relator: Word
+
+
+Move = Conjugate | Append
+
+
+class AppendEntry(NamedTuple):
+    """A relator member as the search appends it to a packed state.
+
+    ``inverse_prefixes[k]`` is the packed inverse of ``member[:k]`` for k from
+    0 to len(member): appending cancels at least k letters exactly when the
+    state ends with it.  ``known`` is the cancellation the index lookup that
+    returned the entry has already established.
+    """
+
+    member: Word
+    move: Append
+    packed: str
+    inverse_prefixes: tuple[str, ...]
+    known: int
 
 
 @dataclass(frozen=True)
@@ -47,40 +84,54 @@ class RelatorSet:
     @cached_property
     def _append_index(self) -> tuple[list, list]:
         """Per state length n (capped at the longest member): the suffix
-        tables of the member lengths <= n, and the members longer than n.
+        tables of the member lengths <= n, and the entries of the members
+        longer than n, which know no cancellation.
 
-        A suffix table serves the members of one length m: it maps a word of
-        length ceil(m/2) to the members whose first ceil(m/2) letters are its
-        inverse, sorted.  Built on first use, so equality, hashing and
-        membership never touch it.
+        A suffix table serves the members of one length m: it maps a packed
+        word of length h = ceil(m/2) to the entries, sorted, of the members
+        whose first h letters are its inverse; those entries know h.  Built
+        on first use, so equality, hashing and membership never touch it.
         """
         ordered = sorted(self.members, key=lambda r: (len(r), r))
-        tables: dict[int, dict[Word, list[Word]]] = {}
+        tables: dict[int, dict[str, list[AppendEntry]]] = {}
+        entries = []
         for r in ordered:
+            packed = pack(r)
+            prefixes = tuple(invert_packed(packed[:k]) for k in range(len(r) + 1))
+            entry = AppendEntry(r, Append(r), packed, prefixes, 0)
             half = (len(r) + 1) // 2
-            tables.setdefault(len(r), {}).setdefault(invert(r[:half]), []).append(r)
+            tables.setdefault(len(r), {}).setdefault(prefixes[half], []).append(
+                entry._replace(known=half)
+            )
+            entries.append(entry)
         longest = len(ordered[-1]) if ordered else 0
         short = [
             [((m + 1) // 2, table) for m, table in tables.items() if m <= n]
             for n in range(longest + 1)
         ]
-        longer = [[r for r in ordered if len(r) > n] for n in range(longest + 1)]
+        longer = [[e for e in entries if len(e.member) > n] for n in range(longest + 1)]
         return short, longer
 
-    def appendable(self, w: Word) -> list[Word]:
-        """Members that may be appended to w, ordered by (length, word).
+    def append_entries(self, s: str) -> list[AppendEntry]:
+        """Entries of the members that may be appended to the packed state s,
+        ordered by (length, member).
 
-        A member r no longer than w qualifies only if appending it cancels at
-        least half of r, i.e. r[:h] == invert(w[-h:]) with h = ceil(len(r)/2);
-        members longer than w always qualify.
+        A member r no longer than the state qualifies only if appending it
+        cancels at least half of r, i.e. r[:h] == invert(w[-h:]) with
+        h = ceil(len(r)/2); members longer than the state always qualify.
         """
         short, longer = self._append_index
-        n = min(len(w), len(short) - 1)
-        out: list[Word] = []
+        n = min(len(s), len(short) - 1)
+        out: list[AppendEntry] = []
         for half, table in short[n]:
-            out += table.get(w[-half:], ())
+            out += table.get(s[-half:], ())
         out += longer[n]
         return out
+
+    def appendable(self, w: Word) -> list[Word]:
+        """Members that may be appended to w, ordered by (length, word): the
+        tuple view of append_entries."""
+        return [e.member for e in self.append_entries(pack(w))]
 
 
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:

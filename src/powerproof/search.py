@@ -14,25 +14,19 @@ import random
 import time
 from dataclasses import dataclass
 
-from .proofwords import ProofWord, RelatorSet, flatten, fold, power_base, symmetrize, verify
-from .words import Word, concat_reduce, free_reduce, invert, is_cyclically_reduced, word_str
-
-
-@dataclass(frozen=True)
-class Conjugate:
-    """Conjugation by one signed generator letter: w -> g^-1 w g."""
-
-    letter: int
-
-
-@dataclass(frozen=True)
-class Append:
-    """Right-multiplication by a relator: w -> w r."""
-
-    relator: Word
-
-
-Move = Conjugate | Append
+from .proofwords import (
+    Append,
+    Conjugate,
+    Move,
+    ProofWord,
+    RelatorSet,
+    flatten,
+    fold,
+    power_base,
+    symmetrize,
+    verify,
+)
+from .words import Word, concat_reduce, free_reduce, invert, is_cyclically_reduced, pack, word_str
 
 
 @dataclass(frozen=True)
@@ -73,6 +67,10 @@ class SearchConfig:
             raise ValueError("beam_width must be >= 1")
         if self.max_moves < 1:
             raise ValueError("max_moves must be >= 1")
+        if self.restarts < 0:
+            raise ValueError("restarts must be >= 0")
+        if self.base_subset_size is not None and self.base_subset_size < 1:
+            raise ValueError("base_subset_size must be >= 1")
 
 
 @dataclass
@@ -91,7 +89,7 @@ class SearchResult:
 class _Node:
     __slots__ = ("word", "parent", "move")
 
-    def __init__(self, word: Word, parent: "_Node | None", move: Move | None):
+    def __init__(self, word: str, parent: "_Node | None", move: Move | None):
         self.word = word
         self.parent = parent
         self.move = move
@@ -113,40 +111,58 @@ def _beam_attempt(
     max_len: int,
     result: SearchResult,
 ) -> MoveLog | None:
-    """One deterministic beam run; returns a completed log or None."""
+    """One deterministic beam run; returns a completed log or None.
+
+    States are packed words (see words.pack): they hash once, slice in C,
+    and rank exactly like the tuples they encode.
+    """
     if start == ():
         return MoveLog(start, ())
-    conjugations = [Conjugate(g) for g in letters]
-    appends = {r: Append(r) for r in relators.members}
-    visited = {start}
-    beam = [_Node(start, None, None)]
+    # Conjugation by g maps w to g^-1 w g: (g, g^-1, move) in packed letters.
+    conjugations = [(pack((g,)), pack((-g,)), Conjugate(g)) for g in letters]
+    packed_start = pack(start)
+    visited = {packed_start}
+    beam = [_Node(packed_start, None, None)]
     for _ in range(config.max_moves):
-        candidates: dict[Word, _Node] = {}
+        # Each new word's parent and move; nodes are made for the chosen only.
+        # Only this insertion-ordered dict is iterated: str hashes are salted
+        # per process, so iterating a set of packed words would not be
+        # deterministic.
+        candidates: dict[str, tuple[_Node, Move]] = {}
         for node in beam:
             w = node.word
-            # Appends must cancel at least half the relator, except from
-            # states already shorter than the relator.
-            moves = conjugations + [appends[r] for r in relators.appendable(w)]
-            result.moves_tried += len(moves)
-            for move in moves:
-                word = apply_move(w, move)
+            for g, g_inv, move in conjugations:
+                u = w[1:] if w.startswith(g) else g_inv + w
+                word = u[:-1] if u.endswith(g_inv) else u + g
                 if len(word) <= max_len and word not in visited and word not in candidates:
-                    candidates[word] = _Node(word, node, move)
+                    candidates[word] = (node, move)
+            # Appends must cancel at least half the relator, except from
+            # states already shorter than the relator.  The exact
+            # cancellation is counted up from the one the lookup established.
+            entries = relators.append_entries(w)
+            result.moves_tried += len(conjugations) + len(entries)
+            n = len(w)
+            for _, move, packed, inverse_prefixes, k in entries:
+                while k < len(packed) and w.endswith(inverse_prefixes[k + 1]):
+                    k += 1
+                word = w[: n - k] + packed[k:]
+                if len(word) <= max_len and word not in visited and word not in candidates:
+                    candidates[word] = (node, move)
         if not candidates:
             return None
-        if () in candidates:
-            return MoveLog(start, _moves_of(candidates[()]))
+        if "" in candidates:
+            return MoveLog(start, _moves_of(_Node("", *candidates[""])))
         # Rank by (length, word): sort each length natively, shortest first,
         # until the beam is full.
-        by_length: dict[int, list[Word]] = {}
+        by_length: dict[int, list[str]] = {}
         for word in candidates:
             by_length.setdefault(len(word), []).append(word)
-        chosen: list[Word] = []
+        chosen: list[str] = []
         for length in sorted(by_length):
             chosen += sorted(by_length[length])[: config.beam_width - len(chosen)]
             if len(chosen) == config.beam_width:
                 break
-        beam = [candidates[word] for word in chosen]
+        beam = [_Node(word, *candidates[word]) for word in chosen]
         visited.update(chosen)
         result.states_visited += len(beam)
     return None

@@ -88,6 +88,29 @@ def invert(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
+# Packed words: one code point per letter, chr(_PACK_ZERO + x).  The
+# encoding is monotone in x, so packed words compare exactly like their
+# tuples; word_str letters would not (they sort A < B < a < b, the tuples
+# -2 < -1 < 1 < 2).  Ranks up to 26 stay within ASCII.
+_PACK_ZERO = 0x40
+_PACKED_INVERSE = {_PACK_ZERO + x: _PACK_ZERO - x for x in range(-26, 27)}
+
+
+def pack(w: Word) -> str:
+    """The word as a string with one monotone-encoded code point per letter."""
+    return "".join([chr(_PACK_ZERO + x) for x in w])
+
+
+def unpack(s: str) -> Word:
+    """The word a packed string encodes; inverse of pack."""
+    return tuple([ord(c) - _PACK_ZERO for c in s])
+
+
+def invert_packed(s: str) -> str:
+    """pack(invert(w)) for s == pack(w)."""
+    return s[::-1].translate(_PACKED_INVERSE)
+
+
 def is_freely_reduced(w: Word) -> bool:
     return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
 

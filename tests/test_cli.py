@@ -58,6 +58,20 @@ def bad_target(tmp_path):
     return t
 
 
+def test_verify_rejects_base_length_below_one(capsys):
+    # 0 used to skip the membership check and print VALID
+    code, out, err = run(
+        capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4",
+        "--max-base-len", "0",
+    )
+    assert code == 2 and out == "" and "--max-base-len" in err
+    code, out, _ = run(
+        capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4",
+        "--max-base-len", "2",
+    )
+    assert code == 1 and out.strip().endswith("INVALID")
+
+
 def test_stats_fixture(capsys):
     code, out, _ = run(capsys, "stats", "--proof", FIXTURE)
     assert code == 0
@@ -112,6 +126,19 @@ def test_search_refuses_a_proof_that_does_not_verify(monkeypatch, capsys):
     )
     assert code == 1 and out == ""
     assert "error:" in err
+
+
+def test_search_rejects_lyndon_length_below_one(capsys):
+    code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "0")
+    assert code == 2 and out == "" and "--lyndon-upto" in err
+
+
+def test_search_rejects_out_of_range_config(capsys):
+    base = ["search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3"]
+    for extra in (["--restarts", "-1"], ["--base-subset", "0"]):
+        code, out, err = run(capsys, *base, *extra)
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
 
 
 def test_search_not_found(tmp_path, capsys):

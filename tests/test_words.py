@@ -12,11 +12,14 @@ from powerproof.words import (
     cyclic_reduce,
     free_reduce,
     invert,
+    invert_packed,
     is_cyclically_reduced,
     is_freely_reduced,
+    pack,
     parse_word,
     power,
     rotations,
+    unpack,
     word_str,
 )
 from util import invert_str, random_letters, reduce_str
@@ -127,6 +130,33 @@ def test_word_times_inverse_is_trivial(w):
 @given(words, words)
 def test_conjugation_round_trip(w, u):
     assert conjugate(conjugate(w, u), invert(u)) == free_reduce(w)
+
+
+def reduced_words_of_rank(rank):
+    letters = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
+    return st.lists(st.sampled_from(letters), max_size=30).map(lambda w: free_reduce(tuple(w)))
+
+
+ranked_words = st.integers(2, 26).flatmap(lambda rank: st.lists(reduced_words_of_rank(rank), max_size=8))
+
+
+def test_pack_is_ascii_one_letter_per_code_point():
+    w = (-26, -1, 1, 26)
+    assert pack(w).isascii() and len(pack(w)) == len(w)
+    assert pack(()) == ""
+
+
+@given(ranked_words)
+def test_pack_round_trip_and_inverse(ws):
+    for w in ws:
+        assert unpack(pack(w)) == w
+        assert invert_packed(pack(w)) == pack(invert(w))
+
+
+@given(ranked_words)
+def test_packed_words_sort_like_tuples(ws):
+    # across lengths too: a proper prefix sorts first in both orders
+    assert sorted(pack(w) for w in ws) == [pack(w) for w in sorted(ws)]
 
 
 @given(words)
