@@ -9,7 +9,7 @@ from .bracelets import (
     is_proper_power,
 )
 from .cosets import CosetTable, Presentation, enumerate_cosets
-from .engel import EngelTarget, commutator, engel_target, engel_word
+from .engel import commutator, engel_word
 from .fixtures import e5_proof, e5_proof_text
 from .proofwords import (
     ProofStats,

@@ -12,17 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .words import Alphabet, Word, invert, is_cyclically_reduced, rotations, word_str
-
-
-def _letter_key(x: int) -> int:
-    # a=0, A=1, b=2, B=3, ...
-    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
+from .words import Alphabet, Word, invert, is_cyclically_reduced, letter_index, rotations, word_str
 
 
 def word_key(w: Word) -> tuple[int, ...]:
     """Sort key realising the a < A < b < B letter order."""
-    return tuple(_letter_key(x) for x in w)
+    return tuple(letter_index(x) for x in w)
 
 
 @dataclass(frozen=True)
@@ -30,7 +25,6 @@ class BraceletClass:
     """One rotation+inversion class, named by its canonical representative."""
 
     canonical: Word
-    length: int
 
     def members(self) -> frozenset[Word]:
         """Every word in the class."""
@@ -66,7 +60,7 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
         raise ValueError(f"length must be positive, got {length}")
     letters = sorted(
         [g for g in range(1, alphabet.rank + 1)] + [-g for g in range(1, alphabet.rank + 1)],
-        key=_letter_key,
+        key=letter_index,
     )
     found: list[BraceletClass] = []
     prefix: list[int] = []
@@ -76,7 +70,7 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
             w = tuple(prefix)
             if w[0] != -w[-1] or length == 1:
                 if bracelet_canon(w) == w:
-                    found.append(BraceletClass(w, length))
+                    found.append(BraceletClass(w))
             return
         last = prefix[-1]
         for x in allowed:
@@ -86,7 +80,7 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
                 prefix.pop()
 
     for first in letters:
-        allowed = [x for x in letters if _letter_key(x) >= _letter_key(first)]
+        allowed = [x for x in letters if letter_index(x) >= letter_index(first)]
         prefix = [first]
         extend(allowed)
     return found

@@ -13,7 +13,7 @@ import sys
 
 from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from .cosets import Presentation, enumerate_cosets
-from .engel import engel_target, engel_word
+from .engel import engel_word
 from .proofwords import (
     ProofWord,
     fold,
@@ -66,7 +66,7 @@ def _base_classes(upto: int, lyndon: bool) -> list[Word]:
 def _cmd_engel(args) -> int:
     word = engel_word(args.n)
     if args.cyclic:
-        word = engel_target(args.n).core
+        word, _ = cyclic_reduce(word)
     print(word_str(word))
     return 0
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .words import Alphabet, Word, is_freely_reduced, word_str
+from .words import Alphabet, Word, is_freely_reduced, letter_index, word_str
 
 UNDEF = -1
 
@@ -34,24 +34,19 @@ class Presentation:
                 raise ValueError(f"relator {word_str(r)!r} is not freely reduced")
 
 
-def _col(letter: int) -> int:
-    # a -> 0, A -> 1, b -> 2, B -> 3, ...; inverse column is col ^ 1
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
-
-
 @dataclass
 class CosetTable:
     """Result of an enumeration run.
 
     ``order`` is None when the table limit was hit (inconclusive).  On
-    success ``rows`` is the compacted action table: ``rows[c][_col(g)]`` is
-    the coset reached from c by g, with coset 0 the subgroup coset.
+    success ``rows`` is the compacted action table:
+    ``rows[c][letter_index(g)]`` is the coset reached from c by g, with
+    coset 0 the subgroup coset.
     """
 
     order: int | None
     cosets_defined: int
     rows: list[list[int]] = field(default_factory=list)
-    rank: int = 2
 
     @property
     def overflowed(self) -> bool:
@@ -60,19 +55,17 @@ class CosetTable:
     def trace(self, coset: int, w: Word) -> int:
         """Image of a coset under a word (table must be complete)."""
         for x in w:
-            coset = self.rows[coset][_col(x)]
+            coset = self.rows[coset][letter_index(x)]
         return coset
 
 
 class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
         self.ncols = 2 * pres.alphabet.rank
-        self.relators = [tuple(_col(x) for x in r) for r in pres.relators]
+        self.relators = [tuple(letter_index(x) for x in r) for r in pres.relators]
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.ncols]
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
-        self.defined = 1
-        self.live = 1
 
     def rep(self, c: int) -> int:
         r = c
@@ -84,13 +77,11 @@ class _Enumerator:
         return r
 
     def define(self, c: int, col: int) -> int:
-        if self.defined >= self.max_cosets:
-            raise _Overflow
         d = len(self.table)
+        if d >= self.max_cosets:
+            raise _Overflow
         self.table.append([UNDEF] * self.ncols)
         self.parent.append(d)
-        self.defined += 1
-        self.live += 1
         self.table[c][col] = d
         self.table[d][col ^ 1] = c
         return d
@@ -101,7 +92,6 @@ class _Enumerator:
             if a > b:
                 a, b = b, a
             self.parent[b] = a
-            self.live -= 1
             queue.append(b)
 
     def coincidence(self, a: int, b: int):
@@ -180,7 +170,7 @@ def enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) -> CosetTa
     try:
         enum.run()
     except _Overflow:
-        return CosetTable(order=None, cosets_defined=enum.defined, rank=pres.alphabet.rank)
+        return CosetTable(order=None, cosets_defined=len(enum.table))
     # compact live cosets to 0..n-1
     index = {}
     for c in range(len(enum.table)):
@@ -190,6 +180,4 @@ def enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) -> CosetTa
         [index[enum.rep(enum.table[c][col])] for col in range(enum.ncols)]
         for c in index
     ]
-    return CosetTable(
-        order=len(index), cosets_defined=enum.defined, rows=rows, rank=pres.alphabet.rank
-    )
+    return CosetTable(order=len(index), cosets_defined=len(enum.table), rows=rows)

@@ -1,10 +1,8 @@
-"""Commutators, Engel words, and the fifth-Engel target word."""
+"""Commutators and Engel words."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .words import Word, conjugate, cyclic_reduce, free_reduce, invert
+from .words import Word, free_reduce, invert
 
 _A: Word = (1,)
 _B: Word = (2,)
@@ -32,24 +30,3 @@ def engel_word_expansion(n: int) -> Word:
 def engel_word(n: int) -> Word:
     """The freely reduced n-th Engel word on (a, b)."""
     return free_reduce(engel_word_expansion(n))
-
-
-@dataclass(frozen=True)
-class EngelTarget:
-    """Cyclically reduced search target plus the conjugator that restores
-    the full Engel word.  The conjugator is not treated as a relator."""
-
-    core: Word
-    outer_conjugator: Word
-
-    def full_word(self) -> Word:
-        return conjugate(self.core, self.outer_conjugator)
-
-
-def engel_target(n: int = 5) -> EngelTarget:
-    """Cyclic reduction of E_n packaged for the proof search.
-
-    For n = 5 the core has length 64 and the conjugator is bbbb.
-    """
-    core, conj = cyclic_reduce(engel_word(n))
-    return EngelTarget(core, conj)

@@ -57,13 +57,12 @@ Move = Conjugate | Append
 class AppendEntry(NamedTuple):
     """A relator member as the search appends it to a packed state.
 
-    ``inverse_prefixes[k]`` is the packed inverse of ``member[:k]`` for k from
-    0 to len(member): appending cancels at least k letters exactly when the
-    state ends with it.  ``known`` is the cancellation the index lookup that
-    returned the entry has already established.
+    ``inverse_prefixes[k]`` is the packed inverse of the member's first k
+    letters, for k from 0 to its length: appending cancels at least k letters
+    exactly when the state ends with it.  ``known`` is the cancellation the
+    index lookup that returned the entry has already established.
     """
 
-    member: Word
     move: Append
     packed: str
     inverse_prefixes: tuple[str, ...]
@@ -98,7 +97,7 @@ class RelatorSet:
         for r in ordered:
             packed = pack(r)
             prefixes = tuple(invert_packed(packed[:k]) for k in range(len(r) + 1))
-            entry = AppendEntry(r, Append(r), packed, prefixes, 0)
+            entry = AppendEntry(Append(r), packed, prefixes, 0)
             half = (len(r) + 1) // 2
             tables.setdefault(len(r), {}).setdefault(prefixes[half], []).append(
                 entry._replace(known=half)
@@ -109,7 +108,7 @@ class RelatorSet:
             [((m + 1) // 2, table) for m, table in tables.items() if m <= n]
             for n in range(longest + 1)
         ]
-        longer = [[e for e in entries if len(e.member) > n] for n in range(longest + 1)]
+        longer = [[e for e in entries if len(e.packed) > n] for n in range(longest + 1)]
         return short, longer
 
     def append_entries(self, s: str) -> list[AppendEntry]:
@@ -127,11 +126,6 @@ class RelatorSet:
             out += table.get(s[-half:], ())
         out += longer[n]
         return out
-
-    def appendable(self, w: Word) -> list[Word]:
-        """Members that may be appended to w, ordered by (length, word): the
-        tuple view of append_entries."""
-        return [e.member for e in self.append_entries(pack(w))]
 
 
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:
@@ -152,9 +146,7 @@ def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:
         canon.add(bracelet_canon(base))
         members |= rotations(power(base, exponent))
         members |= rotations(power(invert(base), exponent))
-    classes = tuple(
-        BraceletClass(w, len(w)) for w in sorted(canon, key=lambda w: (len(w), word_key(w)))
-    )
+    classes = tuple(BraceletClass(w) for w in sorted(canon, key=lambda w: (len(w), word_key(w))))
     return RelatorSet(exponent, classes, frozenset(members))
 
 
@@ -387,10 +379,17 @@ class ProofStats:
     overall_length: int
     relator_count: int
     relator_length_sum: int
-    mean_base_length: Fraction
     conjugating_pairs: Fraction
-    pairs_per_relator: Fraction
     distinct_relators: int
+    exponent: int
+
+    @property
+    def mean_base_length(self) -> Fraction:
+        return Fraction(self.relator_length_sum, self.exponent * self.relator_count)
+
+    @property
+    def pairs_per_relator(self) -> Fraction:
+        return self.conjugating_pairs / self.relator_count
 
 
 def stats(p: ProofWord, exponent: int = 4) -> ProofStats:
@@ -405,10 +404,9 @@ def stats(p: ProofWord, exponent: int = 4) -> ProofStats:
         overall_length=outside + rel_sum + 2 * count,
         relator_count=count,
         relator_length_sum=rel_sum,
-        mean_base_length=Fraction(rel_sum, exponent * count),
         conjugating_pairs=Fraction(outside, 2),
-        pairs_per_relator=Fraction(outside, 2 * count),
         distinct_relators=len({bracelet_canon(b) for b in bases}),
+        exponent=exponent,
     )
 
 

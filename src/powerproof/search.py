@@ -57,7 +57,6 @@ def replay(log: MoveLog) -> Word:
 class SearchConfig:
     beam_width: int = 1000
     max_moves: int = 256
-    max_word_length: int | None = None  # default: 4 * len(target)
     restarts: int = 0
     seed: int = 0
     base_subset_size: int | None = None
@@ -108,7 +107,6 @@ def _beam_attempt(
     relators: RelatorSet,
     letters: list[int],
     config: SearchConfig,
-    max_len: int,
     result: SearchResult,
 ) -> MoveLog | None:
     """One deterministic beam run; returns a completed log or None.
@@ -118,6 +116,7 @@ def _beam_attempt(
     """
     if start == ():
         return MoveLog(start, ())
+    max_len = 4 * len(start)
     # Conjugation by g maps w to g^-1 w g: (g, g^-1, move) in packed letters.
     conjugations = [(pack((g,)), pack((-g,)), Conjugate(g)) for g in letters]
     packed_start = pack(start)
@@ -142,7 +141,7 @@ def _beam_attempt(
             entries = relators.append_entries(w)
             result.moves_tried += len(conjugations) + len(entries)
             n = len(w)
-            for _, move, packed, inverse_prefixes, k in entries:
+            for move, packed, inverse_prefixes, k in entries:
                 while k < len(packed) and w.endswith(inverse_prefixes[k + 1]):
                     k += 1
                 word = w[: n - k] + packed[k:]
@@ -172,31 +171,30 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     """Beam search for a move log proving the target trivial.
 
     The beam is ordered by freely reduced word length, ties broken
-    lexicographically; a visited set prunes re-entered states.  Restarts
-    re-run the beam over random base subsets (when base_subset_size is set)
-    and are deterministic for a fixed seed.
+    lexicographically; a visited set prunes re-entered states, and words
+    longer than four times the target are dropped.  Restarts re-run the beam
+    over random base subsets, so they run only when base_subset_size is
+    smaller than the number of bases; they are deterministic for a fixed seed.
     """
     if config is None:
         config = SearchConfig()
     if not is_cyclically_reduced(target):
         raise ValueError(f"search target must be cyclically reduced, got {word_str(target)!r}")
     start = invert(target)
-    max_len = config.max_word_length if config.max_word_length is not None else 4 * len(target)
-    max_len = max(max_len, len(target))
     letters = sorted({abs(x) for r in relators.members for x in r} | {abs(x) for x in target})
     letters = [s * g for g in letters for s in (1, -1)]
     rng = random.Random(config.seed)
     all_bases = [c.canonical for c in relators.bases]
+    sampling = config.base_subset_size is not None and config.base_subset_size < len(all_bases)
+    active = relators
     result = SearchResult(log=None)
     t0 = time.perf_counter()
-    for attempt in range(config.restarts + 1):
-        if attempt == 0 or config.base_subset_size is None or config.base_subset_size >= len(all_bases):
-            active = relators
-        else:
+    for attempt in range(config.restarts + 1 if sampling else 1):
+        if attempt:
             subset = rng.sample(all_bases, config.base_subset_size)
             active = symmetrize(subset, relators.exponent)
         result.restarts_used = attempt
-        log = _beam_attempt(start, active, letters, config, max_len, result)
+        log = _beam_attempt(start, active, letters, config, result)
         if log is not None:
             result.log = log
             break

@@ -88,6 +88,12 @@ def invert(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
+def letter_index(x: int) -> int:
+    """Position of a letter in the order a, A, b, B, ...; the inverse letter
+    of index i has index i ^ 1."""
+    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
+
+
 # Packed words: one code point per letter, chr(_PACK_ZERO + x).  The
 # encoding is monotone in x, so packed words compare exactly like their
 # tuples; word_str letters would not (they sort A < B < a < b, the tuples
@@ -99,11 +105,6 @@ _PACKED_INVERSE = {_PACK_ZERO + x: _PACK_ZERO - x for x in range(-26, 27)}
 def pack(w: Word) -> str:
     """The word as a string with one monotone-encoded code point per letter."""
     return "".join([chr(_PACK_ZERO + x) for x in w])
-
-
-def unpack(s: str) -> Word:
-    """The word a packed string encodes; inverse of pack."""
-    return tuple([ord(c) - _PACK_ZERO for c in s])
 
 
 def invert_packed(s: str) -> str:
@@ -147,9 +148,7 @@ def cyclic_reduce(w: Word) -> tuple[Word, Word]:
     while j - i >= 2 and v[i] == -v[j - 1]:
         i += 1
         j -= 1
-    core = v[i:j]
-    conjugator = tuple(-x for x in reversed(v[:i]))
-    return core, conjugator
+    return v[i:j], invert(v[:i])
 
 
 def rotations(w: Word) -> set[Word]:

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.resources
 
 from powerproof import cli
@@ -18,6 +19,9 @@ def test_engel(capsys):
     assert code == 0 and out.strip() == "BAbaBABabb"
     code, out, _ = run(capsys, "engel", "--n", "5", "--cyclic")
     assert code == 0 and len(out.strip()) == 64
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "90b8b8502959fa03970d6f842cdcb504d4e60f3c1900762b53509bc4997079c0"
+    )
 
 
 def test_bracelets_count(capsys):

@@ -103,6 +103,19 @@ def test_search_deterministic():
     assert a.states_visited == b.states_visited
 
 
+def test_restarts_run_only_with_base_sampling():
+    rs = symmetrize([P("b"), P("ab")], 4)
+    one = search(P("aaaa"), rs, SearchConfig(beam_width=200, max_moves=30))
+    assert not one.found and one.states_visited == 3779
+    for subset in (None, 2):
+        cfg = SearchConfig(beam_width=200, max_moves=30, restarts=5, base_subset_size=subset)
+        again = search(P("aaaa"), rs, cfg)
+        assert (again.states_visited, again.moves_tried) == (one.states_visited, one.moves_tried)
+        assert again.restarts_used == 0
+    sampled = search(P("aaaa"), rs, SearchConfig(beam_width=200, max_moves=30, restarts=5, base_subset_size=1))
+    assert not sampled.found and sampled.restarts_used == 5
+
+
 def test_search_empty_target():
     rs = symmetrize([P("a")], 4)
     result = search((), rs, SMALL)
