@@ -26,10 +26,6 @@ class BraceletClass:
 
     canonical: Word
 
-    def members(self) -> frozenset[Word]:
-        """Every word in the class."""
-        return frozenset(rotations(self.canonical) | rotations(invert(self.canonical)))
-
 
 def bracelet_canon(w: Word) -> Word:
     """Canonical representative of the class of w."""

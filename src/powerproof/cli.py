@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Iterable
 
 from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from .cosets import Presentation, enumerate_cosets
@@ -58,9 +59,9 @@ def _target_word(args) -> Word:
     return free_reduce(_read_word_file(args.target))
 
 
-def _base_classes(upto: int, lyndon: bool) -> list[Word]:
+def _base_classes(alphabet: Alphabet, lengths: Iterable[int], lyndon: bool) -> list[Word]:
     enum = enumerate_lyndon if lyndon else enumerate_reduced_bracelets
-    return [c.canonical for n in range(1, upto + 1) for c in enum(AB, n)]
+    return [c.canonical for n in lengths for c in enum(alphabet, n)]
 
 
 def _cmd_engel(args) -> int:
@@ -72,15 +73,13 @@ def _cmd_engel(args) -> int:
 
 
 def _cmd_bracelets(args) -> int:
-    alphabet = Alphabet(args.rank)
-    enum = enumerate_lyndon if args.lyndon else enumerate_reduced_bracelets
     lengths = range(1, args.len + 1) if args.upto else [args.len]
-    classes = [c for n in lengths for c in enum(alphabet, n)]
+    classes = _base_classes(Alphabet(args.rank), lengths, args.lyndon)
     if args.count:
         print(len(classes))
     else:
-        for c in classes:
-            print(word_str(c.canonical))
+        for w in classes:
+            print(word_str(w))
     return 0
 
 
@@ -88,9 +87,9 @@ def _relator_set(args):
     if args.bases is not None:
         return symmetrize(_read_words_file(args.bases), args.exponent)
     if args.max_base_len is not None:
-        return symmetrize(_base_classes(args.max_base_len, lyndon=False), args.exponent)
+        return symmetrize(_base_classes(AB, range(1, args.max_base_len + 1), lyndon=False), args.exponent)
     if getattr(args, "lyndon_upto", None) is not None:
-        return symmetrize(_base_classes(args.lyndon_upto, lyndon=True), args.exponent)
+        return symmetrize(_base_classes(AB, range(1, args.lyndon_upto + 1), lyndon=True), args.exponent)
     return None
 
 
@@ -135,7 +134,6 @@ def _cmd_search(args) -> int:
         print("search needs --bases or --lyndon-upto", file=sys.stderr)
         return 2
     target = _target_word(args)
-    core, outer = cyclic_reduce(target)
     config = SearchConfig(
         beam_width=args.beam,
         max_moves=args.max_moves,
@@ -143,7 +141,7 @@ def _cmd_search(args) -> int:
         seed=args.seed,
         base_subset_size=args.base_subset,
     )
-    result = search(core, relators, config)
+    result = search(target, relators, config)
     print(
         f"states visited {result.states_visited}, moves tried {result.moves_tried}, "
         f"restarts used {result.restarts_used}, elapsed {result.elapsed:.2f}s",
@@ -152,7 +150,7 @@ def _cmd_search(args) -> int:
     if not result.found:
         print("NOT FOUND")
         return 1
-    proof = reconstruct(result.log, core, outer)
+    proof = reconstruct(result.log)
     if not verify(proof, target, relators=relators).valid:
         print("error: the reconstructed proof does not verify", file=sys.stderr)
         return 1

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .bracelets import BraceletClass, bracelet_canon, word_key
+from .bracelets import bracelet_canon, word_key
 from .words import (
     AB,
     Alphabet,
@@ -25,7 +25,6 @@ from .words import (
     Word,
     free_reduce,
     invert,
-    invert_packed,
     is_cyclically_reduced,
     is_freely_reduced,
     pack,
@@ -74,7 +73,7 @@ class RelatorSet:
     """Symmetrized set of e-th powers: closed under rotation and inversion."""
 
     exponent: int
-    bases: tuple[BraceletClass, ...]
+    bases: tuple[Word, ...]
     members: frozenset[Word]
 
     def __contains__(self, w: Word) -> bool:
@@ -96,7 +95,7 @@ class RelatorSet:
         entries = []
         for r in ordered:
             packed = pack(r)
-            prefixes = tuple(invert_packed(packed[:k]) for k in range(len(r) + 1))
+            prefixes = tuple(pack(invert(r[:k])) for k in range(len(r) + 1))
             entry = AppendEntry(Append(r), packed, prefixes, 0)
             half = (len(r) + 1) // 2
             tables.setdefault(len(r), {}).setdefault(prefixes[half], []).append(
@@ -132,7 +131,8 @@ def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:
     """Build the relator set generated by e-th powers of the given bases.
 
     Members are all rotations of w^e and of (w^-1)^e for each base w; the
-    bases are stored as deduplicated canonical bracelet classes.
+    bases are stored as the deduplicated canonical bracelet representatives,
+    shortest first and in bracelet order within a length.
     """
     if exponent < 1:
         raise ValueError(f"exponent must be positive, got {exponent}")
@@ -146,8 +146,8 @@ def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:
         canon.add(bracelet_canon(base))
         members |= rotations(power(base, exponent))
         members |= rotations(power(invert(base), exponent))
-    classes = tuple(BraceletClass(w) for w in sorted(canon, key=lambda w: (len(w), word_key(w))))
-    return RelatorSet(exponent, classes, frozenset(members))
+    ordered = tuple(sorted(canon, key=lambda w: (len(w), word_key(w))))
+    return RelatorSet(exponent, ordered, frozenset(members))
 
 
 @dataclass(frozen=True)
@@ -181,9 +181,6 @@ class ProofWord:
             yield c
             yield r
         yield self.conjugators[-1]
-
-    def __str__(self) -> str:
-        return proof_str(self)
 
 
 def proof_str(p: ProofWord) -> str:
@@ -296,8 +293,6 @@ class VerifyReport:
     every_segment_is_relator: bool
     excision_trivial: bool
     bad_relators: tuple[int, ...]
-    flattened: Word
-    excision: Word
 
     @property
     def valid(self) -> bool:
@@ -319,20 +314,16 @@ def verify(
     """
     if relators is None and exponent is None:
         raise ValueError("verify needs a RelatorSet or an exponent")
-    flattened = flatten(p)
-    excision = excision_word(p)
     if relators is not None:
         bad = tuple(i for i, r in enumerate(p.relators) if r not in relators)
     else:
         assert exponent is not None
         bad = tuple(i for i, r in enumerate(p.relators) if not _is_power_relator(r, exponent))
     return VerifyReport(
-        flattens_to_target=flattened == free_reduce(target),
+        flattens_to_target=flatten(p) == free_reduce(target),
         every_segment_is_relator=not bad,
-        excision_trivial=excision == (),
+        excision_trivial=excision_word(p) == (),
         bad_relators=bad,
-        flattened=flattened,
-        excision=excision,
     )
 
 
@@ -413,8 +404,8 @@ def stats(p: ProofWord, exponent: int = 4) -> ProofStats:
 def distinct_presentation(p: ProofWord, exponent: int = 4) -> list[Word]:
     """The presentation implicit in a proof word: one e-th power per
     distinct base bracelet class, in canonical order."""
-    canon = {bracelet_canon(power_base(r, exponent)) for r in p.relators}
-    return [power(b, exponent) for b in sorted(canon, key=lambda w: (len(w), word_key(w)))]
+    bases = symmetrize([power_base(r, exponent) for r in p.relators], exponent).bases
+    return [power(b, exponent) for b in bases]
 
 
 def round2(x: Fraction) -> str:

@@ -26,7 +26,7 @@ from .proofwords import (
     symmetrize,
     verify,
 )
-from .words import Word, concat_reduce, free_reduce, invert, is_cyclically_reduced, pack, word_str
+from .words import Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, pack, word_str
 
 
 @dataclass(frozen=True)
@@ -39,10 +39,8 @@ class MoveLog:
 
 def apply_move(w: Word, move: Move) -> Word:
     if isinstance(move, Conjugate):
-        g = move.letter
-        u = w[1:] if w and w[0] == g else (-g,) + w
-        return u[:-1] if u and u[-1] == -g else u + (g,)
-    return concat_reduce(w, move.relator)
+        return conjugate(w, (move.letter,))
+    return free_reduce(w + move.relator)
 
 
 def replay(log: MoveLog) -> Word:
@@ -108,14 +106,15 @@ def _beam_attempt(
     letters: list[int],
     config: SearchConfig,
     result: SearchResult,
-) -> MoveLog | None:
-    """One deterministic beam run; returns a completed log or None.
+) -> tuple[Move, ...] | None:
+    """One deterministic beam run; returns the moves reaching the empty word
+    from start, or None.
 
     States are packed words (see words.pack): they hash once, slice in C,
     and rank exactly like the tuples they encode.
     """
     if start == ():
-        return MoveLog(start, ())
+        return ()
     max_len = 4 * len(start)
     # Conjugation by g maps w to g^-1 w g: (g, g^-1, move) in packed letters.
     conjugations = [(pack((g,)), pack((-g,)), Conjugate(g)) for g in letters]
@@ -150,7 +149,7 @@ def _beam_attempt(
         if not candidates:
             return None
         if "" in candidates:
-            return MoveLog(start, _moves_of(_Node("", *candidates[""])))
+            return _moves_of(_Node("", *candidates[""]))
         # Rank by (length, word): sort each length natively, shortest first,
         # until the beam is full.
         by_length: dict[int, list[str]] = {}
@@ -168,48 +167,53 @@ def _beam_attempt(
 
 
 def search(target: Word, relators: RelatorSet, config: SearchConfig | None = None) -> SearchResult:
-    """Beam search for a move log proving the target trivial.
+    """Beam search for a move log proving the freely reduced target trivial.
 
-    The beam is ordered by freely reduced word length, ties broken
+    The beam runs from the inverse of the target's cyclically reduced core.
+    It is ordered by freely reduced word length, ties broken
     lexicographically; a visited set prunes re-entered states, and words
-    longer than four times the target are dropped.  Restarts re-run the beam
+    longer than four times the core are dropped.  Restarts re-run the beam
     over random base subsets, so they run only when base_subset_size is
     smaller than the number of bases; they are deterministic for a fixed seed.
+    A found log starts at the inverse of the target: one conjugation per
+    letter of the inverse outer conjugator leads it to the inverted core,
+    then the beam's moves follow.
     """
     if config is None:
         config = SearchConfig()
-    if not is_cyclically_reduced(target):
-        raise ValueError(f"search target must be cyclically reduced, got {word_str(target)!r}")
-    start = invert(target)
-    letters = sorted({abs(x) for r in relators.members for x in r} | {abs(x) for x in target})
+    if not is_freely_reduced(target):
+        raise ValueError(f"search target must be freely reduced, got {word_str(target)!r}")
+    core, outer = cyclic_reduce(target)
+    lead = tuple(Conjugate(g) for g in invert(outer))
+    start = invert(core)
+    letters = sorted({abs(x) for r in relators.members for x in r} | {abs(x) for x in core})
     letters = [s * g for g in letters for s in (1, -1)]
     rng = random.Random(config.seed)
-    all_bases = [c.canonical for c in relators.bases]
-    sampling = config.base_subset_size is not None and config.base_subset_size < len(all_bases)
+    sampling = config.base_subset_size is not None and config.base_subset_size < len(relators.bases)
     active = relators
     result = SearchResult(log=None)
     t0 = time.perf_counter()
     for attempt in range(config.restarts + 1 if sampling else 1):
         if attempt:
-            subset = rng.sample(all_bases, config.base_subset_size)
+            subset = rng.sample(relators.bases, config.base_subset_size)
             active = symmetrize(subset, relators.exponent)
         result.restarts_used = attempt
-        log = _beam_attempt(start, active, letters, config, result)
-        if log is not None:
-            result.log = log
+        moves = _beam_attempt(start, active, letters, config, result)
+        if moves is not None:
+            result.log = MoveLog(invert(target), lead + moves)
             break
     result.elapsed = time.perf_counter() - t0
     return result
 
 
-def reconstruct(log: MoveLog, target: Word, outer_conjugator: Word = ()) -> ProofWord:
-    """Turn a completed move log into a folded proof word.
+def reconstruct(log: MoveLog) -> ProofWord:
+    """Turn a completed move log into a folded proof word for the target,
+    the inverse of the log's start word.
 
     The conjugation letters before the first append form the leading
     conjugating string, the letters between consecutive appends the inner
     strings, and the trailing string is the inverse of everything before the
-    last append.  The outer conjugator wraps the finished proof, so the
-    result flattens to conjugate(target, outer_conjugator).
+    last append.
     """
     if replay(log) != ():
         raise ValueError("move log does not reach the empty word")
@@ -227,8 +231,6 @@ def reconstruct(log: MoveLog, target: Word, outer_conjugator: Word = ()) -> Proo
             run = []
     if rels:
         conjs.append(free_reduce(invert(tuple(before_last))))
-        conjs[0] = free_reduce(invert(outer_conjugator) + conjs[0])
-        conjs[-1] = free_reduce(conjs[-1] + outer_conjugator)
     else:
         conjs = [()]
     return fold(ProofWord(tuple(conjs), tuple(rels)))
@@ -266,7 +268,7 @@ def reduce_presentation(
         active = symmetrize(bases, exponent)
         result = search(r, active, config)
         if result.found:
-            proof = reconstruct(result.log, r)
+            proof = reconstruct(result.log)
             if verify(proof, r, relators=active).valid:
                 survivors = others
     return survivors

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 Word = tuple[int, ...]
 
-EMPTY: Word = ()
-
 
 class ParseError(ValueError):
     """Raised when word or proof-word text is malformed.
@@ -99,17 +97,11 @@ def letter_index(x: int) -> int:
 # tuples; word_str letters would not (they sort A < B < a < b, the tuples
 # -2 < -1 < 1 < 2).  Ranks up to 26 stay within ASCII.
 _PACK_ZERO = 0x40
-_PACKED_INVERSE = {_PACK_ZERO + x: _PACK_ZERO - x for x in range(-26, 27)}
 
 
 def pack(w: Word) -> str:
     """The word as a string with one monotone-encoded code point per letter."""
     return "".join([chr(_PACK_ZERO + x) for x in w])
-
-
-def invert_packed(s: str) -> str:
-    """pack(invert(w)) for s == pack(w)."""
-    return s[::-1].translate(_PACKED_INVERSE)
 
 
 def is_freely_reduced(w: Word) -> bool:
@@ -121,15 +113,6 @@ def is_cyclically_reduced(w: Word) -> bool:
     if not is_freely_reduced(w):
         return False
     return len(w) < 2 or w[0] != -w[-1]
-
-
-def concat_reduce(u: Word, w: Word) -> Word:
-    """Freely reduced product of two freely reduced words (seam cancellation)."""
-    k = 0
-    limit = min(len(u), len(w))
-    while k < limit and u[-1 - k] == -w[k]:
-        k += 1
-    return u[: len(u) - k] + w[k:]
 
 
 def conjugate(w: Word, u: Word) -> Word:
@@ -156,7 +139,7 @@ def rotations(w: Word) -> set[Word]:
     if not is_cyclically_reduced(w):
         raise ValueError(f"rotations requires a cyclically reduced word, got {word_str(w)!r}")
     if not w:
-        return {EMPTY}
+        return {()}
     return {w[k:] + w[:k] for k in range(len(w))}
 
 

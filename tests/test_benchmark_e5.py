@@ -10,7 +10,7 @@ from powerproof.bracelets import enumerate_lyndon
 from powerproof.engel import engel_word
 from powerproof.proofwords import power_base, proof_str, stats, symmetrize, verify
 from powerproof.search import SearchConfig, search, reconstruct
-from powerproof.words import AB, cyclic_reduce
+from powerproof.words import AB
 
 
 @pytest.mark.slow
@@ -18,10 +18,9 @@ def test_rediscover_e5_proof_from_scratch():
     bases = [c.canonical for n in range(1, 6) for c in enumerate_lyndon(AB, n)]
     assert len(bases) == 41
     relators = symmetrize(bases, 4)
-    core, outer = cyclic_reduce(engel_word(5))
-    result = search(core, relators, SearchConfig(beam_width=1000, max_moves=400))
+    result = search(engel_word(5), relators, SearchConfig(beam_width=1000, max_moves=400))
     assert result.found
-    proof = reconstruct(result.log, core, outer)
+    proof = reconstruct(result.log)
     assert verify(proof, engel_word(5), relators=relators).valid
     # determinism fingerprints: any change to the expansion order moves them
     assert (result.states_visited, result.moves_tried) == (98719, 803669)

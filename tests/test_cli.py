@@ -121,7 +121,7 @@ def test_search_outputs_are_byte_stable(capsys):
 
 
 def test_search_refuses_a_proof_that_does_not_verify(monkeypatch, capsys):
-    def corrupted(log, target, outer=()):
+    def corrupted(log):
         return ProofWord(((), ()), ((1, 1, 1),))
 
     monkeypatch.setattr(cli, "reconstruct", corrupted)

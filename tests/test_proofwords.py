@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof, e5_proof_text
 from powerproof.proofwords import (
@@ -23,7 +22,6 @@ from powerproof.proofwords import (
     verify,
 )
 from powerproof.words import (
-    AB,
     ParseError,
     cyclic_reduce,
     free_reduce,
@@ -32,11 +30,7 @@ from powerproof.words import (
     parse_word as P,
     rotations,
 )
-from util import random_proof
-
-
-def bracelet_bases(max_len):
-    return [c.canonical for n in range(1, max_len + 1) for c in enumerate_reduced_bracelets(AB, n)]
+from util import bracelet_bases, random_proof
 
 
 def test_symmetrize_examples():

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import flatten, fold, parse_proof, symmetrize, verify
@@ -29,11 +28,7 @@ from powerproof.words import (
     parse_word as P,
     power,
 )
-from util import random_proof, random_reduced_word
-
-
-def bracelet_bases(max_len):
-    return [c.canonical for n in range(1, max_len + 1) for c in enumerate_reduced_bracelets(AB, n)]
+from util import bracelet_bases, random_proof, random_reduced_word
 
 
 SMALL = SearchConfig(beam_width=500, max_moves=16)
@@ -77,7 +72,7 @@ def test_search_commutator_of_squares():
     assert result.found
     appends = [m for m in result.log.moves if isinstance(m, Append)]
     assert len(appends) <= 3
-    proof = reconstruct(result.log, P("ABab"))
+    proof = reconstruct(result.log)
     assert verify(proof, P("ABab"), relators=rs).valid
 
 
@@ -88,10 +83,10 @@ def test_search_not_found_reports_outcome():
     assert result.log is None
 
 
-def test_search_requires_cyclically_reduced_target():
+def test_search_requires_freely_reduced_target():
     rs = symmetrize([P("a")], 4)
     with pytest.raises(ValueError):
-        search(P("Baaaab"), rs, SMALL)
+        search(P("aaAaaa"), rs, SMALL)
 
 
 def test_search_deterministic():
@@ -131,10 +126,9 @@ def test_search_completeness_small_scale():
     for r in sorted(rs.members):
         for u in conjugators:
             target = conjugate(r, u)
-            core, outer = cyclic_reduce(target)
-            result = search(core, rs, SMALL)
+            result = search(target, rs, SMALL)
             assert result.found, f"no proof for {target}"
-            proof = reconstruct(result.log, core, outer)
+            proof = reconstruct(result.log)
             assert verify(proof, target, relators=rs).valid
 
 
@@ -148,7 +142,7 @@ def _all_reduced(n):
 
 def test_reconstruct_trivial():
     log = MoveLog(P("AAAA"), (Append(P("aaaa")),))
-    proof = reconstruct(log, P("aaaa"))
+    proof = reconstruct(log)
     assert proof.relators == (P("aaaa"),)
     assert flatten(proof) == P("aaaa")
 
@@ -156,11 +150,14 @@ def test_reconstruct_trivial():
 def test_reconstruct_with_outer_conjugator():
     rs = symmetrize(bracelet_bases(2), 2)
     target = P("Baab")  # cyclic core "aa", outer conjugator "b"
-    core, outer = cyclic_reduce(target)
-    assert (core, outer) == (P("aa"), P("b"))
-    result = search(core, rs, SMALL)
+    assert cyclic_reduce(target) == (P("aa"), P("b"))
+    result = search(target, rs, SMALL)
     assert result.found
-    proof = reconstruct(result.log, core, outer)
+    # the log starts at the inverted target; conjugation by B leads it to the inverted core
+    assert result.log.start == invert(target)
+    assert result.log.moves[0] == Conjugate(-2)
+    assert replay(MoveLog(result.log.start, result.log.moves[:1])) == invert(P("aa"))
+    proof = reconstruct(result.log)
     assert flatten(proof) == free_reduce(target)
     assert verify(proof, target, relators=rs).valid
 
@@ -168,7 +165,7 @@ def test_reconstruct_with_outer_conjugator():
 def test_reconstruct_rejects_incomplete_log():
     log = MoveLog(P("AAAA"), (Conjugate(1),))
     with pytest.raises(ValueError):
-        reconstruct(log, P("aaaa"))
+        reconstruct(log)
 
 
 def test_decompile_examples():
@@ -187,7 +184,7 @@ def test_decompile_cr_fixture():
     log = decompile(p)
     assert log.start == invert(engel_word(5))
     assert replay(log) == ()
-    assert reconstruct(log, engel_word(5)) == fold(p)
+    assert reconstruct(log) == fold(p)
 
 
 def test_decompile_reconstruct_round_trip_random():
@@ -197,7 +194,7 @@ def test_decompile_reconstruct_round_trip_random():
         p = random_proof(rng, rs, rng.randrange(1, 5), 4)
         log = decompile(p)
         assert replay(log) == ()
-        rebuilt = reconstruct(log, flatten(p))
+        rebuilt = reconstruct(log)
         assert rebuilt == fold(p)
         assert verify(rebuilt, flatten(p), relators=rs).valid
 
@@ -210,10 +207,9 @@ def test_search_reconstruct_soundness_random_targets():
     for _ in range(40):
         p = random_proof(rng, rs, rng.randrange(1, 4), 3)
         target = flatten(p)
-        core, outer = cyclic_reduce(target)
-        result = search(core, rs, SearchConfig(beam_width=600, max_moves=24))
+        result = search(target, rs, SearchConfig(beam_width=600, max_moves=24))
         if result.found:
-            proof = reconstruct(result.log, core, outer)
+            proof = reconstruct(result.log)
             assert verify(proof, target, relators=rs).valid
 
 
@@ -236,11 +232,11 @@ def test_packed_search_logs_hold_in_the_tuple_algebra(bases, exponent, factors):
     for u, i in factors:
         letters.extend(invert(u) + members[i % len(members)] + u)
     target = free_reduce(tuple(letters))
-    core, outer = cyclic_reduce(target)
-    result = search(core, rs, SearchConfig(beam_width=100, max_moves=12))
+    result = search(target, rs, SearchConfig(beam_width=100, max_moves=12))
     if result.found:
+        assert result.log.start == invert(target)
         assert replay(result.log) == ()
-        proof = reconstruct(result.log, core, outer)
+        proof = reconstruct(result.log)
         assert verify(proof, target, relators=rs).valid
         assert replay(decompile(proof)) == ()
 

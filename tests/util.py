@@ -1,12 +1,13 @@
-"""Shared test helpers: an independent string-based word oracle and seeded
-random generators for words and valid proof words."""
+"""Shared test helpers: an independent string-based word oracle, seeded
+random generators for words and valid proof words, and base-word lists."""
 
 from __future__ import annotations
 
 import random
 
+from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.proofwords import ProofWord, RelatorSet
-from powerproof.words import Word, free_reduce, invert
+from powerproof.words import AB, Word, free_reduce, invert
 
 
 def reduce_str(s: str) -> str:
@@ -40,6 +41,11 @@ def random_reduced_word(rng: random.Random, length: int, rank: int = 2) -> Word:
             continue
         out.append(x)
     return tuple(out)
+
+
+def bracelet_bases(max_len: int) -> list[Word]:
+    """Canonical representatives of every reduced bracelet up to max_len."""
+    return [c.canonical for n in range(1, max_len + 1) for c in enumerate_reduced_bracelets(AB, n)]
 
 
 def random_proof(rng: random.Random, relators: RelatorSet, n_relators: int, conj_len: int) -> ProofWord:
