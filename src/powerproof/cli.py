@@ -29,11 +29,16 @@ from .search import SearchConfig, reconstruct, search
 from .words import AB, Alphabet, Word, cyclic_reduce, free_reduce, parse_word, word_str
 
 
+def _read_lines(path: str) -> list[str]:
+    """The file's lines, each '#' comment line blanked so that parse errors
+    keep the file's line numbers."""
+    with open(path) as f:
+        return ["\n" if line.lstrip().startswith("#") else line for line in f]
+
+
 def _read_word_file(path: str, alphabet: Alphabet = AB) -> Word:
     """One word, possibly wrapped over several lines; '#' lines are comments."""
-    with open(path) as f:
-        text = "".join(line for line in f if not line.lstrip().startswith("#"))
-    return parse_word(text, alphabet)
+    return parse_word("".join(_read_lines(path)), alphabet)
 
 
 def _read_proof(path: str) -> ProofWord:
@@ -44,13 +49,10 @@ def _read_proof(path: str) -> ProofWord:
 
 def _read_words_file(path: str, alphabet: Alphabet = AB) -> list[Word]:
     """One word per line; blank lines and '#' lines are skipped."""
-    words = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                words.append(parse_word(line, alphabet))
-    return words
+    lines = _read_lines(path)
+    # a bad character is reported by its line and column in the file
+    parse_word("".join(lines), alphabet)
+    return [parse_word(line, alphabet) for line in lines if line.strip()]
 
 
 def _target_word(args) -> Word:
@@ -191,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracelets", help="enumerate reduced bracelets or Lyndon words")
     p.add_argument("--rank", type=int, default=2)
-    p.add_argument("--len", type=int, required=True)
+    p.add_argument("--len", type=_positive_int, required=True)
     p.add_argument("--lyndon", action="store_true")
     p.add_argument("--count", action="store_true")
     p.add_argument("--upto", action="store_true", help="all lengths from 1 to --len")

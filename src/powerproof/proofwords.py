@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
-from .bracelets import bracelet_canon, word_key
+from .bracelets import bracelet_canon
 from .words import (
     AB,
     Alphabet,
@@ -27,6 +27,7 @@ from .words import (
     invert,
     is_cyclically_reduced,
     is_freely_reduced,
+    order_key,
     pack,
     power,
     rotations,
@@ -146,7 +147,7 @@ def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:
         canon.add(bracelet_canon(base))
         members |= rotations(power(base, exponent))
         members |= rotations(power(invert(base), exponent))
-    ordered = tuple(sorted(canon, key=lambda w: (len(w), word_key(w))))
+    ordered = tuple(sorted(canon, key=lambda w: (len(w), order_key(w))))
     return RelatorSet(exponent, ordered, frozenset(members))
 
 
@@ -223,28 +224,28 @@ def parse_proof(text: str, alphabet: Alphabet = AB) -> ProofWord:
         at_line_start = False
         if ch == "(":
             if in_relator:
-                raise ParseError("nested '(' in proof word", i)
+                raise ParseError("nested '(' in proof word", text, i)
             conjugators.append(tuple(current))
             current = []
             in_relator = True
             open_pos = i
         elif ch == ")":
             if not in_relator:
-                raise ParseError("unmatched ')' in proof word", i)
+                raise ParseError("unmatched ')' in proof word", text, i)
             if not current:
-                raise ParseError("empty relator segment", open_pos)
+                raise ParseError("empty relator segment", text, open_pos)
             relators.append(tuple(current))
             current = []
             in_relator = False
         else:
             letter = alphabet.letter(ch)
             if letter == 0:
-                raise ParseError(f"invalid character {ch!r} for rank-{alphabet.rank} alphabet", i)
+                raise ParseError(f"invalid character {ch!r} for rank-{alphabet.rank} alphabet", text, i)
             if not in_relator and current and current[-1] == -letter:
-                raise ParseError("conjugating segment is not freely reduced", i)
+                raise ParseError("conjugating segment is not freely reduced", text, i)
             current.append(letter)
     if in_relator:
-        raise ParseError("unclosed '(' in proof word", open_pos)
+        raise ParseError("unclosed '(' in proof word", text, open_pos)
     conjugators.append(tuple(current))
     return ProofWord(tuple(conjugators), tuple(relators))
 

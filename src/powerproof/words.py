@@ -17,12 +17,15 @@ class ParseError(ValueError):
     """Raised when word or proof-word text is malformed.
 
     ``position`` is the 0-based index of the offending character in the
-    original text.
+    original text; ``line`` and ``column`` are the 1-based line and column
+    of that character.
     """
 
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (position {position})")
+    def __init__(self, message: str, text: str, position: int):
         self.position = position
+        self.line = text.count("\n", 0, position) + 1
+        self.column = position - text.rfind("\n", 0, position)
+        super().__init__(f"{message} at line {self.line}, column {self.column} (position {position})")
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,7 @@ def parse_word(text: str, alphabet: Alphabet = AB) -> Word:
             continue
         letter = alphabet.letter(ch)
         if letter == 0:
-            raise ParseError(f"invalid character {ch!r} for rank-{alphabet.rank} alphabet", i)
+            raise ParseError(f"invalid character {ch!r} for rank-{alphabet.rank} alphabet", text, i)
         letters.append(letter)
     return tuple(letters)
 
@@ -92,16 +95,44 @@ def letter_index(x: int) -> int:
     return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
 
 
-# Packed words: one code point per letter, chr(_PACK_ZERO + x).  The
-# encoding is monotone in x, so packed words compare exactly like their
-# tuples; word_str letters would not (they sort A < B < a < b, the tuples
-# -2 < -1 < 1 < 2).  Ranks up to 26 stay within ASCII.
+# Two string encodings of words, one code point per letter.  Each realises a
+# different order, and neither can stand in for the other: the beam search
+# ranks its states in the tuple order, while bracelet representatives and
+# relator bases are named and sorted in the letter order.
+#
+# Packed words: chr(_PACK_ZERO + x).  The encoding is monotone in x, so
+# packed words compare exactly like their tuples; word_str letters would not
+# (they sort A < B < a < b, the tuples -2 < -1 < 1 < 2).  Ranks up to 26
+# stay within ASCII.
 _PACK_ZERO = 0x40
 
 
 def pack(w: Word) -> str:
     """The word as a string with one monotone-encoded code point per letter."""
     return "".join([chr(_PACK_ZERO + x) for x in w])
+
+
+# Order keys: chr(_KEY_ZERO + letter_index(x)), so that keys compare like
+# their words in the letter order a < A < b < B < ... (a proper prefix
+# first).  _KEY_CHARS[x] is the code point of letter x, negative letters
+# indexing from the end of the list.
+_KEY_ZERO = 0x41
+_KEY_CHARS = [chr(_KEY_ZERO + letter_index(x)) if x else "" for x in (*range(27), *range(-26, 0))]
+_KEY_LETTERS = {c: x for x in range(-26, 27) if (c := _KEY_CHARS[x])}
+# str.translate table taking the key of each letter to the key of its
+# inverse, index i to index i ^ 1.
+KEY_INVERSE = str.maketrans({chr(_KEY_ZERO + i): chr(_KEY_ZERO + (i ^ 1)) for i in range(52)})
+
+
+def order_key(w: Word) -> str:
+    """The word as a string that sorts in the a < A < b < B < ... letter
+    order; the inverse word's key is ``order_key(w)[::-1].translate(KEY_INVERSE)``."""
+    return "".join(map(_KEY_CHARS.__getitem__, w))
+
+
+def key_word(key: str) -> Word:
+    """The word whose order key is ``key``."""
+    return tuple(map(_KEY_LETTERS.__getitem__, key))
 
 
 def is_freely_reduced(w: Word) -> bool:

@@ -2,15 +2,25 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from powerproof.bracelets import (
     bracelet_canon,
     enumerate_lyndon,
     enumerate_reduced_bracelets,
     is_proper_power,
-    word_key,
 )
-from powerproof.words import AB, invert, is_cyclically_reduced, parse_word as P, rotations
+from powerproof.words import (
+    AB,
+    Alphabet,
+    invert,
+    is_cyclically_reduced,
+    order_key,
+    parse_word as P,
+    rotations,
+)
+from util import bracelet_canon_oracle
 
 # Base word counts on two generators, lengths 1..10.
 REDUCED_COUNTS = [2, 4, 6, 13, 26, 66, 158, 418, 1098, 2968]
@@ -37,11 +47,36 @@ def test_canon_invariant_under_rotation():
         assert bracelet_canon(invert(w)) == bracelet_canon(w)
 
 
+@st.composite
+def cyclically_reduced_words(draw, max_rank=26, max_length=12):
+    """A random walk that never steps back, closing with a letter that does
+    not cancel against the first."""
+    rank = draw(st.integers(1, max_rank))
+    letters = [x for g in range(1, rank + 1) for x in (g, -g)]
+    n = draw(st.integers(1, max_length))
+    w: list[int] = []
+    for i in range(n):
+        banned = set()
+        if w:
+            banned.add(-w[-1])
+            if i == n - 1:
+                banned.add(-w[0])
+        w.append(draw(st.sampled_from([x for x in letters if x not in banned])))
+    return tuple(w)
+
+
+@given(cyclically_reduced_words())
+def test_canon_matches_tuple_oracle(w):
+    assert is_cyclically_reduced(w)
+    assert bracelet_canon(w) == bracelet_canon_oracle(w)
+
+
 def test_canon_rejects_bad_input():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the empty word has no bracelet class"):
         bracelet_canon(())
-    with pytest.raises(ValueError):
-        bracelet_canon(P("abA"))
+    for bad in ("abA", "aAb", "Aa"):
+        with pytest.raises(ValueError, match=f"requires a cyclically reduced word, got '{bad}'"):
+            bracelet_canon(P(bad))
 
 
 def test_is_proper_power():
@@ -49,6 +84,7 @@ def test_is_proper_power():
     assert is_proper_power(P("aaa"))
     assert not is_proper_power(P("aaBa"))
     assert not is_proper_power(P("a"))
+    assert not is_proper_power(())
 
 
 @pytest.mark.parametrize("length,expected", list(enumerate(REDUCED_COUNTS, start=1)))
@@ -73,14 +109,14 @@ def test_enumeration_is_canonical_sorted_and_duplicate_free():
         classes = enumerate_reduced_bracelets(AB, length)
         canons = [c.canonical for c in classes]
         assert len(set(canons)) == len(canons)
-        assert canons == sorted(canons, key=word_key)
+        assert canons == sorted(canons, key=order_key)
         for c in classes:
             assert bracelet_canon(c.canonical) == c.canonical
             assert len(c.canonical) == length
 
 
-def _all_cyclically_reduced(length):
-    for letters in product([1, -1, 2, -2], repeat=length):
+def _all_cyclically_reduced(length, rank=2):
+    for letters in product([x for g in range(1, rank + 1) for x in (g, -g)], repeat=length):
         ok = all(letters[i] != -letters[i + 1] for i in range(length - 1))
         if ok and (length == 1 or letters[0] != -letters[-1]):
             yield letters
@@ -97,11 +133,12 @@ def test_class_sizes_partition_all_reduced_words():
 def test_against_orbit_partition_oracle():
     # independent enumeration: partition every cyclically reduced word into
     # rotation+inversion orbits and count the orbits
-    for length in range(1, 7):
-        words = set(_all_cyclically_reduced(length))
-        orbits = 0
-        while words:
-            w = words.pop()
-            words -= rotations(w) | rotations(invert(w))
-            orbits += 1
-        assert len(enumerate_reduced_bracelets(AB, length)) == orbits
+    for rank, max_length in [(1, 8), (2, 6), (3, 5)]:
+        for length in range(1, max_length + 1):
+            words = set(_all_cyclically_reduced(length, rank))
+            orbits = 0
+            while words:
+                w = words.pop()
+                words -= rotations(w) | rotations(invert(w))
+                orbits += 1
+            assert len(enumerate_reduced_bracelets(Alphabet(rank), length)) == orbits, (rank, length)

@@ -36,6 +36,32 @@ def test_bracelets_listing(capsys):
     assert code == 0 and out.split() == ["a", "b"]
 
 
+def test_bracelets_listings_are_byte_stable(capsys):
+    # sha256 of the listings, in the letter order, captured before the
+    # canonical form moved to string keys
+    for argv, lines, digest in [
+        (
+            ["--len", "10", "--upto"],
+            4759,
+            "9a8b20d749b6dd20727bc09f22cb9f0862291bebdefdf9c722c7231d71ffb56f",
+        ),
+        (
+            ["--rank", "3", "--len", "5", "--upto", "--lyndon"],
+            416,
+            "2837ebb08c88ce07687b0df7be2ce52bdbdd7ae628e8d933192442391f878e6b",
+        ),
+    ]:
+        code, out, _ = run(capsys, "bracelets", *argv)
+        assert code == 0 and out.count("\n") == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bracelets_rejects_length_below_one(capsys):
+    for argv in (["--len", "0", "--upto"], ["--len", "-3", "--upto", "--count"], ["--len", "0"]):
+        code, out, err = run(capsys, "bracelets", *argv)
+        assert code == 2 and out == "" and "--len" in err
+
+
 def test_verify_fixture(capsys):
     code, out, _ = run(
         capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4",
@@ -185,3 +211,16 @@ def test_domain_error_exit_code(tmp_path, capsys):
     bad.write_text("a((bb))\n")
     code, _, err = run(capsys, "stats", "--proof", str(bad))
     assert code == 1 and "error:" in err
+
+
+def test_parse_errors_name_line_and_column(tmp_path, capsys):
+    proof = tmp_path / "bad.pf"
+    proof.write_text("# a proof over two lines\na(bbbb)A\nb(aaxaa)B\n")
+    code, out, err = run(capsys, "verify", "--proof", str(proof), "--engel", "2", "--exponent", "4")
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid character 'x'") and "line 3, column 5" in err
+    bases = tmp_path / "bases.w"
+    bases.write_text("# bases\nab\n\n  aBx\n")
+    code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--bases", str(bases))
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid character 'x'") and "line 4, column 5" in err

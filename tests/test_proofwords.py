@@ -136,6 +136,19 @@ def test_parse_proof_errors():
         parse_proof("a(b!b)")
 
 
+def test_parse_error_names_line_and_column():
+    text = "# heading\na(bbbb)A\n  b(aa!aa)B\n"
+    with pytest.raises(ParseError) as exc:
+        parse_proof(text)
+    err = exc.value
+    assert text[err.position] == "!"
+    assert (err.line, err.column) == (3, 7)
+    assert "line 3, column 7" in str(err)
+    with pytest.raises(ParseError) as exc:
+        parse_proof("ab(aaaa)\n(bbbb")
+    assert (exc.value.position, exc.value.line, exc.value.column) == (9, 2, 1)
+
+
 def test_proof_str_round_trip():
     text = "a(babababa)A"
     assert proof_str(parse_proof(text)) == text

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from powerproof.words import (
     AB,
     Alphabet,
+    KEY_INVERSE,
     ParseError,
     conjugate,
     cyclic_reduce,
@@ -14,6 +15,9 @@ from powerproof.words import (
     invert,
     is_cyclically_reduced,
     is_freely_reduced,
+    key_word,
+    letter_index,
+    order_key,
     pack,
     parse_word,
     power,
@@ -46,6 +50,7 @@ def test_parse_rejects_out_of_rank():
     with pytest.raises(ParseError) as exc:
         P("ax")
     assert exc.value.position == 1
+    assert (exc.value.line, exc.value.column) == (1, 2)
     with pytest.raises(ParseError):
         P("a1b")
     assert parse_word("c", Alphabet(3)) == (3,)
@@ -140,8 +145,9 @@ ranked_words = st.integers(2, 26).flatmap(lambda rank: st.lists(reduced_words_of
 
 def test_pack_is_ascii_one_letter_per_code_point():
     w = (-26, -1, 1, 26)
-    assert pack(w).isascii() and len(pack(w)) == len(w)
-    assert pack(()) == ""
+    for encode in (pack, order_key):
+        assert encode(w).isascii() and len(encode(w)) == len(w)
+        assert encode(()) == ""
 
 
 @given(ranked_words)
@@ -154,6 +160,15 @@ def test_pack_round_trip_and_inverse(ws):
 def test_packed_words_sort_like_tuples(ws):
     # across lengths too: a proper prefix sorts first in both orders
     assert sorted(pack(w) for w in ws) == [pack(w) for w in sorted(ws)]
+
+
+@given(ranked_words)
+def test_order_key_round_trip_order_and_inverse(ws):
+    for w in ws:
+        assert key_word(order_key(w)) == w
+        assert order_key(w)[::-1].translate(KEY_INVERSE) == order_key(invert(w))
+    by_index = sorted(ws, key=lambda w: tuple(letter_index(x) for x in w))
+    assert sorted(order_key(w) for w in ws) == [order_key(w) for w in by_index]
 
 
 @given(words)

@@ -1,5 +1,6 @@
-"""Shared test helpers: an independent string-based word oracle, seeded
-random generators for words and valid proof words, and base-word lists."""
+"""Shared test helpers: an independent string-based word oracle, the tuple
+bracelet-canon oracle, seeded random generators for words and valid proof
+words, and base-word lists."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import random
 
 from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.proofwords import ProofWord, RelatorSet
-from powerproof.words import AB, Word, free_reduce, invert
+from powerproof.words import AB, Word, free_reduce, invert, letter_index, rotations
 
 
 def reduce_str(s: str) -> str:
@@ -23,6 +24,12 @@ def reduce_str(s: str) -> str:
 
 def invert_str(s: str) -> str:
     return s[::-1].swapcase()
+
+
+def bracelet_canon_oracle(w: Word) -> Word:
+    """Least rotation of w or of its inverse, compared as tuples of letter
+    indices: the a < A < b < B letter order, without string keys."""
+    return min(rotations(w) | rotations(invert(w)), key=lambda v: tuple(letter_index(x) for x in v))
 
 
 def random_letters(rng: random.Random, length: int, rank: int = 2) -> Word:
