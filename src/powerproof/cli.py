@@ -172,14 +172,24 @@ def _cmd_order(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_in(low: int, high: int | None = None):
+    """An argparse type for integers from low up to high, if given."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low or (high is not None and value > high):
+            bound = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_in(1)
+_rank = _int_in(1, 26)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -187,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("engel", help="print the n-th Engel word on (a, b)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--cyclic", action="store_true", help="print the cyclically reduced core")
     p.set_defaults(func=_cmd_engel)
 
     p = sub.add_parser("bracelets", help="enumerate reduced bracelets or Lyndon words")
-    p.add_argument("--rank", type=int, default=2)
+    p.add_argument("--rank", type=_rank, default=2)
     p.add_argument("--len", type=_positive_int, required=True)
     p.add_argument("--lyndon", action="store_true")
     p.add_argument("--count", action="store_true")
@@ -202,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_target(p):
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--target", help="file holding the target word")
-        g.add_argument("--engel", type=int, help="use the n-th Engel word as target")
+        g.add_argument("--engel", type=_positive_int, help="use the n-th Engel word as target")
 
     def add_bases(p, with_lyndon: bool):
         g = p.add_mutually_exclusive_group()
@@ -218,13 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="check a proof word against a target")
     p.add_argument("--proof", required=True)
     add_target(p)
-    p.add_argument("--exponent", type=int, required=True)
+    p.add_argument("--exponent", type=_positive_int, required=True)
     add_bases(p, with_lyndon=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="proof word statistics")
     p.add_argument("--proof", required=True)
-    p.add_argument("--exponent", type=int, default=4)
+    p.add_argument("--exponent", type=_positive_int, default=4)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("fold", help="fold bordering inverse pairs into relators")
@@ -233,19 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search for a proof word for a target")
     add_target(p)
-    p.add_argument("--exponent", type=int, required=True)
+    p.add_argument("--exponent", type=_positive_int, required=True)
     add_bases(p, with_lyndon=True)
-    p.add_argument("--beam", type=int, default=1000)
-    p.add_argument("--max-moves", type=int, default=256)
-    p.add_argument("--restarts", type=int, default=0)
+    p.add_argument("--beam", type=_positive_int, default=1000)
+    p.add_argument("--max-moves", type=_positive_int, default=256)
+    p.add_argument("--restarts", type=_int_in(0), default=0)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base-subset", type=int, default=None)
+    p.add_argument("--base-subset", type=_positive_int, default=None)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("order", help="group order by coset enumeration")
     p.add_argument("--relators", required=True, help="file of relators, one per line")
-    p.add_argument("--rank", type=int, default=2, help="number of generators")
-    p.add_argument("--max-cosets", type=int, default=2_000_000)
+    p.add_argument("--rank", type=_rank, default=2, help="number of generators")
+    p.add_argument("--max-cosets", type=_positive_int, default=2_000_000)
     p.set_defaults(func=_cmd_order)
 
     return parser

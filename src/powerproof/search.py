@@ -116,6 +116,7 @@ def _beam_attempt(
     if start == ():
         return ()
     max_len = 4 * len(start)
+    width = config.beam_width
     # Conjugation by g maps w to g^-1 w g: (g, g^-1, move) in packed letters.
     conjugations = [(pack((g,)), pack((-g,)), Conjugate(g)) for g in letters]
     packed_start = pack(start)
@@ -127,38 +128,58 @@ def _beam_attempt(
         # per process, so iterating a set of packed words would not be
         # deterministic.
         candidates: dict[str, tuple[_Node, Move]] = {}
+        by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
+        # Words longer than the cutoff are never built.  It falls only while
+        # at least `width` candidates are strictly shorter than it, so no
+        # word beyond it could be chosen, and every word that could is still
+        # found first from the same parent.
+        cutoff = max_len
+        kept = 0  # candidates no longer than the cutoff
         for node in beam:
             w = node.word
             for g, g_inv, move in conjugations:
                 u = w[1:] if w.startswith(g) else g_inv + w
                 word = u[:-1] if u.endswith(g_inv) else u + g
-                if len(word) <= max_len and word not in visited and word not in candidates:
+                if len(word) <= cutoff and word not in visited and word not in candidates:
                     candidates[word] = (node, move)
+                    by_length[len(word)].append(word)
+                    kept += 1
             # Appends must cancel at least half the relator, except from
             # states already shorter than the relator.  The exact
-            # cancellation is counted up from the one the lookup established.
+            # cancellation is counted up from the one the lookup established,
+            # or from the least one that keeps the word within the cutoff:
+            # w ends with the inverse of r[:k] only if it ends with that of
+            # every shorter prefix, so one test at that bound is exact.
             entries = relators.append_entries(w)
             result.moves_tried += len(conjugations) + len(entries)
             n = len(w)
             for move, packed, inverse_prefixes, k in entries:
-                while k < len(packed) and w.endswith(inverse_prefixes[k + 1]):
+                m = len(packed)
+                need = (n + m - cutoff + 1) // 2
+                if need > k:
+                    if need > m or not w.endswith(inverse_prefixes[need]):
+                        continue
+                    k = need
+                while k < m and w.endswith(inverse_prefixes[k + 1]):
                     k += 1
                 word = w[: n - k] + packed[k:]
-                if len(word) <= max_len and word not in visited and word not in candidates:
+                if word not in visited and word not in candidates:
                     candidates[word] = (node, move)
+                    by_length[len(word)].append(word)
+                    kept += 1
+            while kept - len(by_length[cutoff]) >= width:
+                kept -= len(by_length[cutoff])
+                cutoff -= 1
         if not candidates:
             return None
-        if "" in candidates:
+        if by_length[0]:
             return _moves_of(_Node("", *candidates[""]))
         # Rank by (length, word): sort each length natively, shortest first,
         # until the beam is full.
-        by_length: dict[int, list[str]] = {}
-        for word in candidates:
-            by_length.setdefault(len(word), []).append(word)
         chosen: list[str] = []
-        for length in sorted(by_length):
-            chosen += sorted(by_length[length])[: config.beam_width - len(chosen)]
-            if len(chosen) == config.beam_width:
+        for bucket in by_length[: cutoff + 1]:
+            chosen += sorted(bucket)[: width - len(chosen)]
+            if len(chosen) == width:
                 break
         beam = [_Node(word, *candidates[word]) for word in chosen]
         visited.update(chosen)
@@ -171,8 +192,10 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
 
     The beam runs from the inverse of the target's cyclically reduced core.
     It is ordered by freely reduced word length, ties broken
-    lexicographically; a visited set prunes re-entered states, and words
-    longer than four times the core are dropped.  Restarts re-run the beam
+    lexicographically; a visited set prunes re-entered states.  Words longer
+    than a per-depth cutoff are never built: it starts at four times the
+    core and falls while at least beam_width candidates are strictly
+    shorter, so no word beyond it could be chosen.  Restarts re-run the beam
     over random base subsets, so they run only when base_subset_size is
     smaller than the number of bases; they are deterministic for a fixed seed.
     A found log starts at the inverse of the target: one conjugation per

@@ -1,6 +1,8 @@
 import hashlib
 import importlib.resources
 
+import pytest
+
 from powerproof import cli
 from powerproof.cli import main
 from powerproof.proofwords import ProofWord
@@ -163,12 +165,41 @@ def test_search_rejects_lyndon_length_below_one(capsys):
     assert code == 2 and out == "" and "--lyndon-upto" in err
 
 
+SEARCH_E2 = ("search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3")
+
+
 def test_search_rejects_out_of_range_config(capsys):
-    base = ["search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3"]
-    for extra in (["--restarts", "-1"], ["--base-subset", "0"]):
-        code, out, err = run(capsys, *base, *extra)
-        assert code == 1 and out == ""
-        assert err.startswith("error:")
+    for option, value in (("--restarts", "-1"), ("--base-subset", "0")):
+        code, out, err = run(capsys, *SEARCH_E2, option, value)
+        assert code == 2 and out == "" and f"argument {option}:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (("bracelets", "--rank", "0", "--len", "3"), "--rank"),
+        (("bracelets", "--rank", "27", "--len", "3", "--count"), "--rank"),
+        (("order", "--relators", "rels.w", "--rank", "27"), "--rank"),
+        (("order", "--relators", "rels.w", "--max-cosets", "0"), "--max-cosets"),
+        (("engel", "--n", "0"), "--n"),
+        (("search", "--engel", "0", "--exponent", "3", "--lyndon-upto", "3"), "--engel"),
+        (("search", "--engel", "2", "--exponent", "0", "--lyndon-upto", "3"), "--exponent"),
+        ((*SEARCH_E2, "--beam", "0"), "--beam"),
+        ((*SEARCH_E2, "--max-moves", "0"), "--max-moves"),
+        (("stats", "--proof", FIXTURE, "--exponent", "0"), "--exponent"),
+    ],
+)
+def test_out_of_range_options_are_usage_errors(capsys, argv, option):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert f"argument {option}:" in err
+
+
+def test_verify_rejects_exponent_zero(capsys):
+    # it used to report the valid fixture INVALID, every segment a bad relator
+    code, out, err = run(capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "0")
+    assert code == 2 and out == ""
+    assert "argument --exponent:" in err
 
 
 def test_search_not_found(tmp_path, capsys):

@@ -30,7 +30,7 @@ from powerproof.words import (
     parse_word as P,
     rotations,
 )
-from util import bracelet_bases, random_proof
+from util import bracelet_bases, naive_appendable, random_proof
 
 
 def test_symmetrize_examples():
@@ -64,19 +64,6 @@ reduced_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24).map(
     lambda letters: free_reduce(tuple(letters))
 )
 base_words = reduced_words.map(lambda w: cyclic_reduce(w)[0]).filter(bool)
-
-
-def naive_appendable(relators, w):
-    """Members, by (length, word), that cancel at least half of themselves
-    against w, plus every member longer than w."""
-    out = []
-    for r in sorted(relators.members, key=lambda r: (len(r), r)):
-        k = 0
-        while k < min(len(w), len(r)) and w[-1 - k] == -r[k]:
-            k += 1
-        if len(w) < len(r) or 2 * k >= len(r):
-            out.append(r)
-    return out
 
 
 def appendable(relators, w):

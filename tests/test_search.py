@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -27,8 +28,9 @@ from powerproof.words import (
     invert,
     parse_word as P,
     power,
+    word_str,
 )
-from util import bracelet_bases, random_proof, random_reduced_word
+from util import bracelet_bases, random_proof, random_reduced_word, reference_search
 
 
 SMALL = SearchConfig(beam_width=500, max_moves=16)
@@ -241,6 +243,29 @@ def test_packed_search_logs_hold_in_the_tuple_algebra(bases, exponent, factors):
         assert replay(decompile(proof)) == ()
 
 
+@settings(deadline=None)
+@given(
+    st.lists(short_words.map(lambda w: cyclic_reduce(w)[0]).filter(bool), min_size=1, max_size=3),
+    st.integers(2, 4),
+    st.lists(st.tuples(short_words, st.integers(0, 10**6)), max_size=3),
+    st.one_of(st.just(()), short_words),
+    st.integers(1, 8),
+    st.integers(1, 12),
+)
+def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
+    # narrow beams make the length cutoff bind; targets are mostly products
+    # of conjugated members, so many searches succeed
+    rs = symmetrize(bases, exponent)
+    members = sorted(rs.members)
+    letters = []
+    for u, i in factors:
+        letters.extend(invert(u) + members[i % len(members)] + u)
+    target = free_reduce(tuple(letters) + extra)
+    config = SearchConfig(beam_width=width, max_moves=depth)
+    result = search(target, rs, config)
+    assert (result.log, result.states_visited, result.moves_tried) == reference_search(target, rs, config)
+
+
 def test_search_config_rejects_out_of_range_values():
     for bad in (
         dict(beam_width=0),
@@ -290,3 +315,35 @@ def test_reduce_presentation_preserves_group():
     before = enumerate_cosets(Presentation(AB, tuple(rels))).order
     after = enumerate_cosets(Presentation(AB, tuple(out))).order
     assert before == after == 8192
+
+
+def test_reduce_presentation_search_counters(monkeypatch):
+    # every search the reduction runs, failing ones included, pinned as
+    # (target, found, states_visited, moves_tried)
+    from powerproof.proofwords import distinct_presentation
+
+    module = importlib.import_module("powerproof.search")
+    searches = []
+
+    def counted(target, relators, config=None):
+        result = search(target, relators, config)
+        searches.append((word_str(target), result.found, result.states_visited, result.moves_tried))
+        return result
+
+    monkeypatch.setattr(module, "search", counted)
+    reduce_presentation(distinct_presentation(e5_proof(), 4), 4, SearchConfig(beam_width=300, max_moves=40))
+    assert searches == [
+        ("aaaa", False, 7682, 421072),
+        ("bbbb", False, 7683, 418742),
+        ("abababab", True, 3079, 131681),
+        ("aBaBaBaB", False, 11779, 513969),
+        ("aaBaaBaaBaaB", False, 11769, 480378),
+        ("aBBaBBaBBaBB", True, 4268, 152038),
+        ("aaaBaaaBaaaBaaaB", False, 11745, 461253),
+        ("abAbabAbabAbabAb", False, 11710, 73479),
+        ("abABabABabABabAB", False, 11710, 53044),
+        ("aaBaBaaBaBaaBaBaaBaB", False, 11205, 301793),
+        ("aaBAbaaBAbaaBAbaaBAb", False, 11029, 47256),
+        ("abAbbabAbbabAbbabAbb", True, 4699, 31795),
+        ("abABBabABBabABBabABB", False, 10994, 46895),
+    ]

@@ -1,14 +1,16 @@
 """Shared test helpers: an independent string-based word oracle, the tuple
-bracelet-canon oracle, seeded random generators for words and valid proof
-words, and base-word lists."""
+bracelet-canon oracle, the naive append filter and the reference beam,
+seeded random generators for words and valid proof words, and base-word
+lists."""
 
 from __future__ import annotations
 
 import random
 
 from powerproof.bracelets import enumerate_reduced_bracelets
-from powerproof.proofwords import ProofWord, RelatorSet
-from powerproof.words import AB, Word, free_reduce, invert, letter_index, rotations
+from powerproof.proofwords import Append, Conjugate, ProofWord, RelatorSet
+from powerproof.search import MoveLog, SearchConfig, apply_move
+from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, rotations
 
 
 def reduce_str(s: str) -> str:
@@ -30,6 +32,60 @@ def bracelet_canon_oracle(w: Word) -> Word:
     """Least rotation of w or of its inverse, compared as tuples of letter
     indices: the a < A < b < B letter order, without string keys."""
     return min(rotations(w) | rotations(invert(w)), key=lambda v: tuple(letter_index(x) for x in v))
+
+
+def naive_appendable(relators: RelatorSet, w: Word) -> list[Word]:
+    """Members, by (length, word), that cancel at least half of themselves
+    against w, plus every member longer than w."""
+    out = []
+    for r in sorted(relators.members, key=lambda r: (len(r), r)):
+        k = 0
+        while k < min(len(w), len(r)) and w[-1 - k] == -r[k]:
+            k += 1
+        if len(w) < len(r) or 2 * k >= len(r):
+            out.append(r)
+    return out
+
+
+def reference_search(
+    target: Word, relators: RelatorSet, config: SearchConfig
+) -> tuple[MoveLog | None, int, int]:
+    """The beam search with no length cutoff: (log, states_visited,
+    moves_tried) of one attempt, so configs that sample bases are out of
+    scope.
+
+    States are tuples moved by apply_move; every candidate of a depth is
+    built, first found first kept, and the whole set is ranked by (length,
+    word), words longer than four times the core dropped.
+    """
+    core, outer = cyclic_reduce(target)
+    lead = tuple(Conjugate(g) for g in invert(outer))
+    start = invert(core)
+    if start == ():
+        return MoveLog(invert(target), lead), 0, 0
+    letters = sorted({abs(x) for r in relators.members for x in r} | {abs(x) for x in core})
+    conjugations = [Conjugate(s * g) for g in letters for s in (1, -1)]
+    max_len = 4 * len(start)
+    visited = {start}
+    beam: list[tuple[Word, tuple]] = [(start, ())]
+    states = moves_tried = 0
+    for _ in range(config.max_moves):
+        candidates: dict[Word, tuple] = {}
+        for w, path in beam:
+            offered = conjugations + [Append(r) for r in naive_appendable(relators, w)]
+            moves_tried += len(offered)
+            for move in offered:
+                u = apply_move(w, move)
+                if len(u) <= max_len and u not in visited and u not in candidates:
+                    candidates[u] = path + (move,)
+        if not candidates:
+            break
+        if () in candidates:
+            return MoveLog(invert(target), lead + candidates[()]), states, moves_tried
+        beam = sorted(candidates.items(), key=lambda item: (len(item[0]), item[0]))[: config.beam_width]
+        visited.update(w for w, _ in beam)
+        states += len(beam)
+    return None, states, moves_tried
 
 
 def random_letters(rng: random.Random, length: int, rank: int = 2) -> Word:
