@@ -2,8 +2,9 @@
 
 Every subcommand is a thin shell over the library.  Results go to stdout;
 diagnostics (timings, search counters) go to stderr so outputs stay
-pipeable.  Exit codes: 0 success/valid/found, 1 invalid/not-found, 2 usage
-error.
+pipeable.  Exit codes: 0 success/valid/found, 1 invalid/not-found, a domain
+error or an interrupt (Ctrl-C), 2 usage error.  Every subcommand that reads
+words takes --rank, the number of generators (default 2).
 """
 
 from __future__ import annotations
@@ -36,18 +37,18 @@ def _read_lines(path: str) -> list[str]:
         return ["\n" if line.lstrip().startswith("#") else line for line in f]
 
 
-def _read_word_file(path: str, alphabet: Alphabet = AB) -> Word:
+def _read_word_file(path: str, alphabet: Alphabet) -> Word:
     """One word, possibly wrapped over several lines; '#' lines are comments."""
     return parse_word("".join(_read_lines(path)), alphabet)
 
 
-def _read_proof(path: str) -> ProofWord:
+def _read_proof(path: str, alphabet: Alphabet) -> ProofWord:
     """Proof-word text from a file, parsed."""
     with open(path) as f:
-        return parse_proof(f.read())
+        return parse_proof(f.read(), alphabet)
 
 
-def _read_words_file(path: str, alphabet: Alphabet = AB) -> list[Word]:
+def _read_words_file(path: str, alphabet: Alphabet) -> list[Word]:
     """One word per line; blank lines and '#' lines are skipped."""
     lines = _read_lines(path)
     # a bad character is reported by its line and column in the file
@@ -57,8 +58,10 @@ def _read_words_file(path: str, alphabet: Alphabet = AB) -> list[Word]:
 
 def _target_word(args) -> Word:
     if args.engel is not None:
+        if args.alphabet.rank < 2:
+            raise ValueError("--engel needs --rank 2 or more: the Engel words use a and b")
         return engel_word(args.engel)
-    return free_reduce(_read_word_file(args.target))
+    return free_reduce(_read_word_file(args.target, args.alphabet))
 
 
 def _base_classes(alphabet: Alphabet, lengths: Iterable[int], lyndon: bool) -> list[Word]:
@@ -76,7 +79,7 @@ def _cmd_engel(args) -> int:
 
 def _cmd_bracelets(args) -> int:
     lengths = range(1, args.len + 1) if args.upto else [args.len]
-    classes = _base_classes(Alphabet(args.rank), lengths, args.lyndon)
+    classes = _base_classes(args.alphabet, lengths, args.lyndon)
     if args.count:
         print(len(classes))
     else:
@@ -87,16 +90,18 @@ def _cmd_bracelets(args) -> int:
 
 def _relator_set(args):
     if args.bases is not None:
-        return symmetrize(_read_words_file(args.bases), args.exponent)
+        return symmetrize(_read_words_file(args.bases, args.alphabet), args.exponent)
     if args.max_base_len is not None:
-        return symmetrize(_base_classes(AB, range(1, args.max_base_len + 1), lyndon=False), args.exponent)
+        bases = _base_classes(args.alphabet, range(1, args.max_base_len + 1), lyndon=False)
+        return symmetrize(bases, args.exponent)
     if getattr(args, "lyndon_upto", None) is not None:
-        return symmetrize(_base_classes(AB, range(1, args.lyndon_upto + 1), lyndon=True), args.exponent)
+        bases = _base_classes(args.alphabet, range(1, args.lyndon_upto + 1), lyndon=True)
+        return symmetrize(bases, args.exponent)
     return None
 
 
 def _cmd_verify(args) -> int:
-    proof = _read_proof(args.proof)
+    proof = _read_proof(args.proof, args.alphabet)
     target = _target_word(args)
     relators = _relator_set(args)
     if relators is not None:
@@ -113,7 +118,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    st = stats(_read_proof(args.proof), args.exponent)
+    st = stats(_read_proof(args.proof, args.alphabet), args.exponent)
     print(f"overall length {st.overall_length}")
     print(f"count of relators {st.relator_count}")
     print(f"sum of relator lengths {st.relator_length_sum}")
@@ -126,7 +131,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    print(proof_str(fold(_read_proof(args.proof))))
+    print(proof_str(fold(_read_proof(args.proof, args.alphabet))))
     return 0
 
 
@@ -161,9 +166,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    alphabet = Alphabet(args.rank)
-    relators = [free_reduce(w) for w in _read_words_file(args.relators, alphabet)]
-    table = enumerate_cosets(Presentation(alphabet, tuple(relators)), args.max_cosets)
+    relators = [free_reduce(w) for w in _read_words_file(args.relators, args.alphabet)]
+    table = enumerate_cosets(Presentation(args.alphabet, tuple(relators)), args.max_cosets)
     print(f"cosets defined {table.cosets_defined}", file=sys.stderr)
     if table.overflowed:
         print("OVERFLOW")
@@ -192,6 +196,11 @@ _positive_int = _int_in(1)
 _rank = _int_in(1, 26)
 
 
+def _alphabet(text: str) -> Alphabet:
+    """An argparse type: the alphabet of the given rank."""
+    return Alphabet(_rank(text))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="powerproof")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -201,8 +210,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cyclic", action="store_true", help="print the cyclically reduced core")
     p.set_defaults(func=_cmd_engel)
 
+    def add_rank(p):
+        p.add_argument(
+            "--rank", dest="alphabet", type=_alphabet, default=AB, help="number of generators"
+        )
+
     p = sub.add_parser("bracelets", help="enumerate reduced bracelets or Lyndon words")
-    p.add_argument("--rank", type=_rank, default=2)
+    add_rank(p)
     p.add_argument("--len", type=_positive_int, required=True)
     p.add_argument("--lyndon", action="store_true")
     p.add_argument("--count", action="store_true")
@@ -227,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a proof word against a target")
     p.add_argument("--proof", required=True)
+    add_rank(p)
     add_target(p)
     p.add_argument("--exponent", type=_positive_int, required=True)
     add_bases(p, with_lyndon=False)
@@ -234,15 +249,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="proof word statistics")
     p.add_argument("--proof", required=True)
+    add_rank(p)
     p.add_argument("--exponent", type=_positive_int, default=4)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("fold", help="fold bordering inverse pairs into relators")
     p.add_argument("--proof", required=True)
+    add_rank(p)
     p.set_defaults(func=_cmd_fold)
 
     p = sub.add_parser("search", help="search for a proof word for a target")
     add_target(p)
+    add_rank(p)
     p.add_argument("--exponent", type=_positive_int, required=True)
     add_bases(p, with_lyndon=True)
     p.add_argument("--beam", type=_positive_int, default=1000)
@@ -254,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("order", help="group order by coset enumeration")
     p.add_argument("--relators", required=True, help="file of relators, one per line")
-    p.add_argument("--rank", type=_rank, default=2, help="number of generators")
+    add_rank(p)
     p.add_argument("--max-cosets", type=_positive_int, default=2_000_000)
     p.set_defaults(func=_cmd_order)
 
@@ -271,6 +289,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return 1
 
 

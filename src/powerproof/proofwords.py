@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator
 
 from .bracelets import bracelet_canon
 from .words import (
@@ -54,21 +54,6 @@ class Append:
 Move = Conjugate | Append
 
 
-class AppendEntry(NamedTuple):
-    """A relator member as the search appends it to a packed state.
-
-    ``inverse_prefixes[k]`` is the packed inverse of the member's first k
-    letters, for k from 0 to its length: appending cancels at least k letters
-    exactly when the state ends with it.  ``known`` is the cancellation the
-    index lookup that returned the entry has already established.
-    """
-
-    move: Append
-    packed: str
-    inverse_prefixes: tuple[str, ...]
-    known: int
-
-
 @dataclass(frozen=True)
 class RelatorSet:
     """Symmetrized set of e-th powers: closed under rotation and inversion."""
@@ -81,51 +66,56 @@ class RelatorSet:
         return w in self.members
 
     @cached_property
-    def _append_index(self) -> tuple[list, list]:
-        """Per state length n (capped at the longest member): the suffix
-        tables of the member lengths <= n, and the entries of the members
-        longer than n, which know no cancellation.
+    def _append_levels(self) -> list[tuple[int, list[dict[str, list[tuple]]]]]:
+        """Per member length m, ascending: levels[k] for k from 0 to m maps
+        the packed inverse of a k-letter prefix to the entries, sorted by
+        member, of the members that start with that prefix.
 
-        A suffix table serves the members of one length m: it maps a packed
-        word of length h = ceil(m/2) to the entries, sorted, of the members
-        whose first h letters are its inverse; those entries know h.  Built
-        on first use, so equality, hashing and membership never touch it.
+        An entry is (Append move, packed member, inverse prefixes, k), where
+        inverse_prefixes[j] is the packed inverse of the member's first j
+        letters: a state cancels at least j letters of the member exactly
+        when it ends with that string.  Built on first use, so equality,
+        hashing and membership never touch it.
         """
-        ordered = sorted(self.members, key=lambda r: (len(r), r))
-        tables: dict[int, dict[str, list[AppendEntry]]] = {}
-        entries = []
-        for r in ordered:
-            packed = pack(r)
-            prefixes = tuple(pack(invert(r[:k])) for k in range(len(r) + 1))
-            entry = AppendEntry(Append(r), packed, prefixes, 0)
-            half = (len(r) + 1) // 2
-            tables.setdefault(len(r), {}).setdefault(prefixes[half], []).append(
-                entry._replace(known=half)
-            )
-            entries.append(entry)
-        longest = len(ordered[-1]) if ordered else 0
-        short = [
-            [((m + 1) // 2, table) for m, table in tables.items() if m <= n]
-            for n in range(longest + 1)
-        ]
-        longer = [[e for e in entries if len(e.packed) > n] for n in range(longest + 1)]
-        return short, longer
+        by_length: dict[int, list[dict[str, list[tuple]]]] = {}
+        for r in sorted(self.members, key=lambda r: (len(r), r)):
+            move, packed, m = Append(r), pack(r), len(r)
+            # the inverse of r[:k] is the last k letters of the inverse of r
+            inverse = pack(invert(r))
+            prefixes = tuple(inverse[m - k :] for k in range(m + 1))
+            levels = by_length.setdefault(m, [{} for _ in range(m + 1)])
+            for k, level in enumerate(levels):
+                level.setdefault(prefixes[k], []).append((move, packed, prefixes, k))
+        return sorted(by_length.items())
 
-    def append_entries(self, s: str) -> list[AppendEntry]:
-        """Entries of the members that may be appended to the packed state s,
-        ordered by (length, member).
+    def appends(self, s: str, cutoff: int) -> tuple[int, list[tuple]]:
+        """The members that may be appended to the packed state s without
+        the result exceeding cutoff letters, and how many the half rule
+        offers.
 
-        A member r no longer than the state qualifies only if appending it
-        cancels at least half of r, i.e. r[:h] == invert(w[-h:]) with
-        h = ceil(len(r)/2); members longer than the state always qualify.
+        The half rule: a member r no longer than the state qualifies only if
+        appending it cancels at least h = ceil(len(r)/2) letters, that is
+        when s ends with the packed inverse of r[:h]; members longer than the
+        state always qualify.  The offered count is the number of members it
+        admits.  Of those, the entries returned are the ones whose appended
+        word has at most cutoff letters, which needs a cancellation of
+        ceil((len(s) + len(r) - cutoff) / 2); each entry's k is the larger
+        of the two bounds, so its cancellation is known to be at least k.
+        Entries come ordered by (length, member).
         """
-        short, longer = self._append_index
-        n = min(len(s), len(short) - 1)
-        out: list[AppendEntry] = []
-        for half, table in short[n]:
-            out += table.get(s[-half:], ())
-        out += longer[n]
-        return out
+        n = len(s)
+        offered = 0
+        out: list[tuple] = []
+        for m, levels in self._append_levels:
+            half = (m + 1) // 2 if m <= n else 0
+            bucket = levels[half].get(s[n - half :], ())
+            offered += len(bucket)
+            k = (n + m - cutoff + 1) // 2
+            if k <= half:
+                out += bucket
+            elif k <= m and k <= n:
+                out += levels[k].get(s[n - k :], ())
+        return offered, out
 
 
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:

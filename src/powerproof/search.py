@@ -144,22 +144,15 @@ def _beam_attempt(
                     candidates[word] = (node, move)
                     by_length[len(word)].append(word)
                     kept += 1
-            # Appends must cancel at least half the relator, except from
-            # states already shorter than the relator.  The exact
-            # cancellation is counted up from the one the lookup established,
-            # or from the least one that keeps the word within the cutoff:
-            # w ends with the inverse of r[:k] only if it ends with that of
-            # every shorter prefix, so one test at that bound is exact.
-            entries = relators.append_entries(w)
-            result.moves_tried += len(conjugations) + len(entries)
+            # The index counts the members the half rule offers and returns,
+            # in (length, member) order, just those whose appended word stays
+            # within the cutoff, each with a cancellation k it has already
+            # established; the exact cancellation is counted up from there.
+            offered, entries = relators.appends(w, cutoff)
+            result.moves_tried += len(conjugations) + offered
             n = len(w)
             for move, packed, inverse_prefixes, k in entries:
                 m = len(packed)
-                need = (n + m - cutoff + 1) // 2
-                if need > k:
-                    if need > m or not w.endswith(inverse_prefixes[need]):
-                        continue
-                    k = need
                 while k < m and w.endswith(inverse_prefixes[k + 1]):
                     k += 1
                 word = w[: n - k] + packed[k:]
@@ -195,7 +188,9 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     lexicographically; a visited set prunes re-entered states.  Words longer
     than a per-depth cutoff are never built: it starts at four times the
     core and falls while at least beam_width candidates are strictly
-    shorter, so no word beyond it could be chosen.  Restarts re-run the beam
+    shorter, so no word beyond it could be chosen; the relator index is
+    looked up at the cancellation the cutoff needs, so such appends are not
+    even fetched.  Restarts re-run the beam
     over random base subsets, so they run only when base_subset_size is
     smaller than the number of bases; they are deterministic for a fixed seed.
     A found log starts at the inverse of the target: one conjugation per

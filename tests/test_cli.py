@@ -202,6 +202,66 @@ def test_verify_rejects_exponent_zero(capsys):
     assert "argument --exponent:" in err
 
 
+def test_search_and_verify_at_rank_three(tmp_path, capsys):
+    target = tmp_path / "t.w"
+    target.write_text("cccc\n")
+    code, out, _ = run(
+        capsys, "search", "--rank", "3", "--target", str(target), "--exponent", "4",
+        "--lyndon-upto", "1",
+    )
+    assert code == 0 and out == "(cccc)\n"
+    pf = tmp_path / "found.pf"
+    pf.write_text(out)
+    verify = ("verify", "--proof", str(pf), "--target", str(target), "--exponent", "4")
+    code, out, _ = run(capsys, *verify, "--rank", "3", "--max-base-len", "1")
+    assert code == 0 and out.strip().endswith("VALID")
+    code, out, _ = run(capsys, "stats", "--rank", "3", "--proof", str(pf))
+    assert code == 0 and "distinct relators 1" in out.splitlines()
+    code, out, _ = run(capsys, "fold", "--rank", "3", "--proof", str(pf))
+    assert code == 0 and out == "(cccc)\n"
+    # at the default rank the letter c is not in the alphabet
+    code, out, err = run(capsys, *verify)
+    assert code == 1 and out == "" and err.startswith("error: invalid character 'c'")
+    code, out, err = run(capsys, "fold", "--proof", str(pf))
+    assert code == 1 and out == "" and err.startswith("error: invalid character 'c'")
+
+
+def test_engel_target_needs_rank_two(capsys):
+    code, out, err = run(
+        capsys, "search", "--rank", "1", "--engel", "2", "--exponent", "3", "--lyndon-upto", "2"
+    )
+    assert code == 1 and out == "" and "--rank 2" in err
+
+
+def test_proof_commands_are_byte_stable_at_rank_two(capsys):
+    # sha256 of the outputs on the bundled fixture, captured before the
+    # proof-reading subcommands took --rank; the default rank is 2
+    expected = {
+        "verify": "e8ee1e92629a0dc729ae06a933a1afd7d4b3b4003b852d6f67a171046e7aaf85",
+        "stats": "eb2dbf42df63f2f9c6b903167b912d5c669070955319e492f0ca94daac6b1445",
+        "fold": "3ad3b87fca81d2bb29261f1cf7e796e75088576c6ec7b3715fea6097894d87cc",
+    }
+    argvs = [
+        ["verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4", "--max-base-len", "5"],
+        ["stats", "--proof", FIXTURE, "--exponent", "4"],
+        ["fold", "--proof", FIXTURE],
+    ]
+    for argv in argvs:
+        for rank in ([], ["--rank", "2"]):
+            code, out, _ = run(capsys, *argv, *rank)
+            assert code == 0
+            assert hashlib.sha256(out.encode()).hexdigest() == expected[argv[0]]
+
+
+def test_interrupt_exits_1_without_traceback(monkeypatch, capsys):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "search", interrupted)
+    code, out, err = run(capsys, *SEARCH_E2)
+    assert code == 1 and out == "" and err == "error: interrupted\n"
+
+
 def test_search_not_found(tmp_path, capsys):
     target = tmp_path / "t.w"
     target.write_text("aaaa\n")

@@ -67,8 +67,10 @@ base_words = reduced_words.map(lambda w: cyclic_reduce(w)[0]).filter(bool)
 
 
 def appendable(relators, w):
-    """The members append_entries returns for w, as tuples."""
-    return [e.move.relator for e in relators.append_entries(pack(w))]
+    """The members RelatorSet.appends returns for w under a cutoff that no
+    appended word can reach, as tuples."""
+    cutoff = len(w) + max(map(len, relators.members))
+    return [move.relator for move, *_ in relators.appends(pack(w), cutoff)[1]]
 
 
 @given(st.lists(base_words, min_size=1, max_size=4), st.integers(2, 5), st.lists(reduced_words, max_size=8))
@@ -86,6 +88,42 @@ def test_appendable_examples():
     assert appendable(rs, ()) == sorted(rs.members)
     assert appendable(rs, P("BABABA")) == [P("abab")]
     assert appendable(rs, P("aaaaa")) == []
+    # a state shorter than the members: all four are offered, but within
+    # 2 letters only abab fits (BA abab -> ab), and nothing fits in 1
+    offered, entries = rs.appends(pack(P("BA")), 2)
+    assert offered == 4 and [move.relator for move, *_ in entries] == [P("abab")]
+    assert rs.appends(pack(P("BA")), 1) == (4, [])
+
+
+small_bases = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6).map(
+    lambda letters: cyclic_reduce(free_reduce(tuple(letters)))[0]
+).filter(bool)
+
+
+@given(st.lists(small_bases, min_size=1, max_size=4), st.integers(1, 5), st.data())
+def test_appends_respect_the_cutoff(bases, exponent, data):
+    rs = symmetrize(bases, exponent)
+    members = sorted(rs.members)
+    for _ in range(data.draw(st.integers(1, 8))):
+        # states that end in the inverse of a member's prefix, often shorter
+        # than the member, so that appends cancel and the cutoff bites
+        member = data.draw(st.sampled_from(members))
+        prefix = member[: data.draw(st.integers(0, len(member)))]
+        w = free_reduce(data.draw(reduced_words) + invert(prefix))
+        cutoff = data.draw(st.integers(-2, 40))
+        offered, entries = rs.appends(pack(w), cutoff)
+        naive = naive_appendable(rs, w)
+        assert offered == len(naive)
+        fits = [r for r in naive if len(free_reduce(w + r)) <= cutoff]
+        assert [move.relator for move, *_ in entries] == fits
+        for move, packed, inverse_prefixes, k in entries:
+            r = move.relator
+            assert packed == pack(r)
+            assert inverse_prefixes == tuple(pack(invert(r[:j])) for j in range(len(r) + 1))
+            # the entry's k is a cancellation the appended word really has,
+            # and at least what the cutoff needs
+            assert pack(w).endswith(inverse_prefixes[k])
+            assert 2 * k >= len(w) + len(r) - cutoff
 
 
 def test_parse_proof_example():
