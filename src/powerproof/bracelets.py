@@ -54,33 +54,51 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
     """All reduced-bracelet classes of the given length, sorted in the letter
     order (by ``order_key``).
 
-    Backtracks over freely reduced words whose letters all sort at or after
-    the first letter (a canonical word starts with its least letter), and
-    keeps the cyclically reduced ones that equal their own canonical form.
+    Walks the freely reduced words in increasing letter order, depth first
+    and without recursion, over letter indices (a = 0, A = 1, b = 2, ...; the
+    inverse of index i is i ^ 1).  The canonical word of a class is the least
+    of its rotations, so it is a necklace, and every prefix of a necklace
+    obeys the prefix rule of Fredricksen, Kessler and Maiorana: with ``p``
+    the period of ``a[:t]`` (the length of its longest Lyndon prefix), the
+    letter ``a[t]`` is at least ``a[t - p]``.  A smaller letter there makes
+    the rotation at p smaller than the word, so no extension of that prefix
+    is canonical, and the walk never builds one.  A full word is a necklace
+    exactly when its period divides its length; only the cyclically reduced
+    necklaces reach ``bracelet_canon``, which still drops those whose
+    inverse class has a smaller member.  The rule only cuts words that are
+    not canonical, so the listing is the same as filtering every reduced
+    word, in the same order.
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
     letters = [x for g in range(1, alphabet.rank + 1) for x in (g, -g)]
+    top = len(letters)
+    last = length - 1
+    # a[t] is the letter index at position t and per[t] the period of a[:t];
+    # per[0] is never read.
+    a = [-1] * length
+    per = [1] * (length + 1)
     found: list[BraceletClass] = []
-    for i, first in enumerate(letters):
-        _extend((first,), letters[i:], length, found)
+    t = 0
+    while t >= 0:
+        j = a[t] + 1
+        if t and j == a[t - 1] ^ 1:
+            j += 1
+        if j >= top:
+            t -= 1
+            continue
+        a[t] = j
+        if t:
+            p = per[t]
+            per[t + 1] = p if j == a[t - p] else t + 1
+        if t < last:
+            t += 1
+            a[t] = a[t - per[t]] - 1
+        elif length % per[length] == 0 and a[0] != j ^ 1:
+            w = tuple(map(letters.__getitem__, a))
+            if bracelet_canon(w) == w:
+                found.append(BraceletClass(w))
     return found
-
-
-# A module-level function, not a closure: a closure that calls itself is a
-# reference cycle, which would hold each listing until the cyclic collector
-# ran.
-def _extend(prefix: Word, allowed: list[int], length: int, found: list[BraceletClass]):
-    """Append to ``found`` the canonical words of the given length that
-    extend ``prefix`` with letters from ``allowed``."""
-    if len(prefix) == length:
-        if prefix[0] != -prefix[-1] and bracelet_canon(prefix) == prefix:
-            found.append(BraceletClass(prefix))
-        return
-    last = prefix[-1]
-    for x in allowed:
-        if x != -last:
-            _extend(prefix + (x,), allowed, length, found)
 
 
 def enumerate_lyndon(alphabet: Alphabet, length: int) -> list[BraceletClass]:

@@ -166,7 +166,12 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    relators = [free_reduce(w) for w in _read_words_file(args.relators, args.alphabet)]
+    relators = []
+    for w in _read_words_file(args.relators, args.alphabet):
+        r = free_reduce(w)
+        if not r:
+            raise ValueError(f"relator {word_str(w)!r} freely reduces to the empty word")
+        relators.append(r)
     table = enumerate_cosets(Presentation(args.alphabet, tuple(relators)), args.max_cosets)
     print(f"cosets defined {table.cosets_defined}", file=sys.stderr)
     if table.overflowed:

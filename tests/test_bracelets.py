@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powerproof import bracelets
 from powerproof.bracelets import (
     bracelet_canon,
     enumerate_lyndon,
@@ -132,13 +133,33 @@ def test_class_sizes_partition_all_reduced_words():
 
 def test_against_orbit_partition_oracle():
     # independent enumeration: partition every cyclically reduced word into
-    # rotation+inversion orbits and count the orbits
-    for rank, max_length in [(1, 8), (2, 6), (3, 5)]:
+    # rotation+inversion orbits; the listing is each orbit's least member,
+    # sorted in the letter order
+    for rank, max_length in [(1, 8), (2, 6), (3, 5), (4, 4)]:
         for length in range(1, max_length + 1):
             words = set(_all_cyclically_reduced(length, rank))
-            orbits = 0
+            least = []
             while words:
                 w = words.pop()
-                words -= rotations(w) | rotations(invert(w))
-                orbits += 1
-            assert len(enumerate_reduced_bracelets(Alphabet(rank), length)) == orbits, (rank, length)
+                orbit = rotations(w) | rotations(invert(w))
+                words -= orbit
+                least.append(min(orbit, key=order_key))
+            listed = [c.canonical for c in enumerate_reduced_bracelets(Alphabet(rank), length)]
+            assert listed == sorted(least, key=order_key), (rank, length)
+
+
+def test_prefix_rule_prunes_canon_calls(monkeypatch):
+    # only cyclically reduced necklaces reach bracelet_canon; every class
+    # is one of them, as perfbench's tracer self-test assumes
+    calls = 0
+
+    def counting_canon(w):
+        nonlocal calls
+        calls += 1
+        return bracelet_canon(w)
+
+    monkeypatch.setattr(bracelets, "bracelet_canon", counting_canon)
+    classes = sum(len(enumerate_reduced_bracelets(AB, n)) for n in range(1, 11))
+    assert classes == sum(REDUCED_COUNTS) == 4759
+    assert calls == 9518
+    assert calls >= classes

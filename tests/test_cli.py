@@ -1,5 +1,8 @@
 import hashlib
 import importlib.resources
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -56,6 +59,13 @@ def test_bracelets_listings_are_byte_stable(capsys):
         code, out, _ = run(capsys, "bracelets", *argv)
         assert code == 0 and out.count("\n") == lines
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_bracelets_of_length_1200(capsys):
+    # the enumeration is iterative: its depth is not bounded by the
+    # interpreter's recursion limit
+    code, out, _ = run(capsys, "bracelets", "--rank", "1", "--len", "1200", "--count")
+    assert code == 0 and out == "1\n"
 
 
 def test_bracelets_rejects_length_below_one(capsys):
@@ -281,6 +291,14 @@ def test_order(tmp_path, capsys):
     assert code == 0 and out.strip() == "6"
 
 
+def test_order_names_a_relator_that_reduces_to_nothing(tmp_path, capsys):
+    rels = tmp_path / "rels.w"
+    rels.write_text("aa\naA\n")
+    code, out, err = run(capsys, "order", "--relators", str(rels))
+    assert code == 1 and out == ""
+    assert err == "error: relator 'aA' freely reduces to the empty word\n"
+
+
 def test_order_overflow(tmp_path, capsys):
     rels = tmp_path / "rels.w"
     rels.write_text("aa\n")
@@ -315,3 +333,13 @@ def test_parse_errors_name_line_and_column(tmp_path, capsys):
     code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--bases", str(bases))
     assert code == 1 and out == ""
     assert err.startswith("error: invalid character 'x'") and "line 4, column 5" in err
+
+
+def test_python_dash_m_runs_the_command(tmp_path):
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "powerproof", "bracelets", "--len", "2"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout.split() == ["aa", "ab", "aB", "bb"]
