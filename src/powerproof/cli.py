@@ -173,7 +173,10 @@ def _cmd_order(args) -> int:
             raise ValueError(f"relator {word_str(w)!r} freely reduces to the empty word")
         relators.append(r)
     table = enumerate_cosets(Presentation(args.alphabet, tuple(relators)), args.max_cosets)
-    print(f"cosets defined {table.cosets_defined}", file=sys.stderr)
+    print(
+        f"cosets defined {table.cosets_defined}, live peak {table.live_peak}, coincidences {table.coincidences}",
+        file=sys.stderr,
+    )
     if table.overflowed:
         print("OVERFLOW")
         return 1

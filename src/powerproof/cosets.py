@@ -5,6 +5,13 @@ relator is scanned from every coset with gaps filled by new definitions, and
 coincidences are resolved with a union-find over coset numbers.  When the
 enumeration completes, the live cosets carry a full action of the generators
 and their count is the order of the presented group.
+
+The table is stored by column, one list per letter, and each relator keeps
+the columns it walks.  Most scans are complete forward walks that define
+nothing; ``_Enumerator.run`` takes those inline and hands only a walk that
+meets a gap to ``scan_and_fill``.  Both paths visit cosets and relators in
+the same HLT order, so the definitions, the count of cosets defined and the
+compacted table are those of a row-per-coset enumerator.
 """
 
 from __future__ import annotations
@@ -41,31 +48,61 @@ class CosetTable:
     ``order`` is None when the table limit was hit (inconclusive).  On
     success ``rows`` is the compacted action table:
     ``rows[c][letter_index(g)]`` is the coset reached from c by g, with
-    coset 0 the subgroup coset.
+    coset 0 the subgroup coset.  ``coincidences`` counts the cosets merged
+    away and ``live_peak`` the most cosets live at once; on a complete table
+    ``coincidences == cosets_defined - order``.
     """
 
     order: int | None
     cosets_defined: int
     rows: list[list[int]] = field(default_factory=list)
+    coincidences: int = 0
+    live_peak: int = 0
 
     @property
     def overflowed(self) -> bool:
         return self.order is None
 
     def trace(self, coset: int, w: Word) -> int:
-        """Image of a coset under a word (table must be complete)."""
+        """Image of a coset under a word.
+
+        Raises ValueError on an incomplete (overflowed) table, a coset not
+        in the table and a letter beyond the table's rank.
+        """
+        rows = self.rows
+        if not rows:
+            raise ValueError("cannot trace in an incomplete coset table: the enumeration overflowed")
+        if not 0 <= coset < len(rows):
+            raise ValueError(f"coset {coset} is not in the table of order {len(rows)}")
+        rank = len(rows[0]) // 2
         for x in w:
-            coset = self.rows[coset][letter_index(x)]
+            if not 0 < abs(x) <= rank:
+                raise ValueError(f"letter {x} is beyond rank {rank}")
+            coset = rows[coset][letter_index(x)]
         return coset
 
 
 class _Enumerator:
+    """The enumeration state, stored by column: ``cols[k][c]`` is the image
+    of coset c under the letter of index k, or UNDEF.
+
+    Each relator is kept as its letter indices plus two tuples of the column
+    lists themselves: ``fwd[i]`` is the column of letter i and ``inv[i]`` the
+    column of its inverse, which the backward scan walks from the end.  The
+    tuples alias the growing columns, so they never need rebuilding.
+    """
+
     def __init__(self, pres: Presentation, max_cosets: int):
         self.ncols = 2 * pres.alphabet.rank
-        self.relators = [tuple(letter_index(x) for x in r) for r in pres.relators]
+        self.cols: list[list[int]] = [[UNDEF] for _ in range(self.ncols)]
+        self.relators = []
+        for r in pres.relators:
+            idx = tuple(letter_index(x) for x in r)
+            self.relators.append((idx, tuple(self.cols[k] for k in idx), tuple(self.cols[k ^ 1] for k in idx)))
         self.max_cosets = max_cosets
-        self.table: list[list[int]] = [[UNDEF] * self.ncols]
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
+        self.coincidences = 0  # cosets merged away, so len(parent) - coincidences are live
+        self.live_peak = 1
 
     def rep(self, c: int) -> int:
         r = c
@@ -77,13 +114,15 @@ class _Enumerator:
         return r
 
     def define(self, c: int, col: int) -> int:
-        d = len(self.table)
+        d = len(self.parent)
         if d >= self.max_cosets:
             raise _Overflow
-        self.table.append([UNDEF] * self.ncols)
+        for column in self.cols:
+            column.append(UNDEF)
         self.parent.append(d)
-        self.table[c][col] = d
-        self.table[d][col ^ 1] = c
+        self.cols[col][c] = d
+        self.cols[col ^ 1][d] = c
+        self.live_peak = max(self.live_peak, d + 1 - self.coincidences)
         return d
 
     def merge(self, a: int, b: int, queue: deque[int]):
@@ -92,64 +131,76 @@ class _Enumerator:
             if a > b:
                 a, b = b, a
             self.parent[b] = a
+            self.coincidences += 1
             queue.append(b)
 
     def coincidence(self, a: int, b: int):
+        cols = self.cols
         queue: deque[int] = deque()
         self.merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            row = self.table[dead]
             for col in range(self.ncols):
-                d = row[col]
+                column, inverse = cols[col], cols[col ^ 1]
+                d = column[dead]
                 if d == UNDEF:
                     continue
-                self.table[d][col ^ 1] = UNDEF
+                inverse[d] = UNDEF
                 mu, nu = self.rep(dead), self.rep(d)
-                if self.table[mu][col] != UNDEF:
-                    self.merge(nu, self.table[mu][col], queue)
-                elif self.table[nu][col ^ 1] != UNDEF:
-                    self.merge(mu, self.table[nu][col ^ 1], queue)
+                if column[mu] != UNDEF:
+                    self.merge(nu, column[mu], queue)
+                elif inverse[nu] != UNDEF:
+                    self.merge(mu, inverse[nu], queue)
                 else:
-                    self.table[mu][col] = nu
-                    self.table[nu][col ^ 1] = mu
+                    column[mu] = nu
+                    inverse[nu] = mu
 
-    def scan_and_fill(self, c: int, cols: tuple[int, ...]):
-        table = self.table
+    def scan_and_fill(self, c: int, idx: tuple[int, ...], fwd: tuple[list[int], ...], inv: tuple[list[int], ...]):
         f, i = c, 0
-        b, j = c, len(cols) - 1
+        b, j = c, len(fwd) - 1
         while True:
-            while i <= j and table[f][cols[i]] != UNDEF:
-                f = table[f][cols[i]]
+            while i <= j and fwd[i][f] != UNDEF:
+                f = fwd[i][f]
                 i += 1
             if i > j:
                 if f != b:
                     self.coincidence(f, b)
                 return
-            while j >= i and table[b][cols[j] ^ 1] != UNDEF:
-                b = table[b][cols[j] ^ 1]
+            while j >= i and inv[j][b] != UNDEF:
+                b = inv[j][b]
                 j -= 1
             if j < i:
                 self.coincidence(f, b)
                 return
             if j == i:
-                table[f][cols[i]] = b
-                table[b][cols[i] ^ 1] = f
+                fwd[i][f] = b
+                inv[i][b] = f
                 return
-            f = self.define(f, cols[i])
+            f = self.define(f, idx[i])
             i += 1
 
     def run(self) -> None:
+        parent, cols = self.parent, self.cols
         c = 0
-        while c < len(self.table):
-            if self.parent[c] == c:
-                for cols in self.relators:
-                    self.scan_and_fill(c, cols)
-                    if self.parent[c] != c:
+        while c < len(parent):
+            if parent[c] == c:
+                for idx, fwd, inv in self.relators:
+                    # a complete walk fills nothing; only a gap needs the full scan
+                    f = c
+                    for column in fwd:
+                        f = column[f]
+                        if f < 0:  # UNDEF, the only negative entry
+                            self.scan_and_fill(c, idx, fwd, inv)
+                            break
+                    else:
+                        if f == c:
+                            continue
+                        self.coincidence(f, c)
+                    if parent[c] != c:
                         break
-                if self.parent[c] == c:
-                    for col in range(self.ncols):
-                        if self.table[c][col] == UNDEF:
+                if parent[c] == c:
+                    for col, column in enumerate(cols):
+                        if column[c] == UNDEF:
                             self.define(c, col)
             c += 1
 
@@ -170,14 +221,11 @@ def enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) -> CosetTa
     try:
         enum.run()
     except _Overflow:
-        return CosetTable(order=None, cosets_defined=len(enum.table))
-    # compact live cosets to 0..n-1
-    index = {}
-    for c in range(len(enum.table)):
-        if enum.parent[c] == c:
-            index[c] = len(index)
-    rows = [
-        [index[enum.rep(enum.table[c][col])] for col in range(enum.ncols)]
-        for c in index
-    ]
-    return CosetTable(order=len(index), cosets_defined=len(enum.table), rows=rows)
+        order, rows = None, []
+    else:
+        # compact live cosets to 0..n-1
+        live = [c for c, p in enumerate(enum.parent) if p == c]
+        index = {c: i for i, c in enumerate(live)}
+        order = len(live)
+        rows = [[index[enum.rep(column[c])] for column in enum.cols] for c in live]
+    return CosetTable(order, len(enum.parent), rows, enum.coincidences, enum.live_peak)

@@ -1,11 +1,18 @@
+import hashlib
+from functools import lru_cache
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.cosets import Presentation, enumerate_cosets
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import distinct_presentation
 from powerproof.words import AB, Alphabet, parse_word as P, power
+
+from util import reference_enumerate_cosets
 
 
 def pres(*texts, rank=2):
@@ -112,7 +119,8 @@ def test_overflow_is_a_value():
     table = enumerate_cosets(pres("aa"), max_cosets=500)
     assert table.overflowed
     assert table.order is None
-    assert table.cosets_defined >= 500
+    # define raises exactly when the table reaches the limit
+    assert table.cosets_defined == 500
 
 
 def test_malformed_relators_rejected():
@@ -128,3 +136,89 @@ def test_cr_presentation_order():
     table = enumerate_cosets(Presentation(AB, tuple(rels)))
     assert table.order == 8192 == 2 * 2**12
     assert table.cosets_defined < 2_000_000
+
+
+@st.composite
+def presentations(draw):
+    """Random presentations: rank 1-3, 1-4 freely reduced relators of length 1-8."""
+    rank = draw(st.integers(1, 3))
+    letters = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
+    relators = []
+    for _ in range(draw(st.integers(1, 4))):
+        w = [draw(st.sampled_from(letters))]
+        for _ in range(draw(st.integers(0, 7))):
+            w.append(draw(st.sampled_from([x for x in letters if x != -w[-1]])))
+        relators.append(tuple(w))
+    return Presentation(Alphabet(rank), tuple(relators))
+
+
+@settings(deadline=None)
+@given(presentations(), st.sampled_from([50, 300, 2000]))
+def test_enumeration_matches_the_reference_enumerator(pres, max_cosets):
+    # the definition order is the algorithm: complete and overflowed tables
+    # alike must agree coset for coset
+    table = enumerate_cosets(pres, max_cosets)
+    ref = reference_enumerate_cosets(pres, max_cosets)
+    assert (table.order, table.cosets_defined, table.rows) == (ref.order, ref.cosets_defined, ref.rows)
+    if not table.overflowed:
+        assert table.coincidences == table.cosets_defined - table.order
+        assert table.order <= table.live_peak <= table.cosets_defined
+
+
+@lru_cache(maxsize=None)
+def canonical_table(order):
+    """The complete tables of the two benchmark presentations, in their
+    canonical relator order: the bundled proof's 13 distinct fourth powers
+    (order 8192) and the fourth powers of the 25 bracelets of length at most
+    4 (order 4096)."""
+    if order == 8192:
+        relators = distinct_presentation(e5_proof(), 4)
+    else:
+        relators = [power(c.canonical, 4) for n in range(1, 5) for c in enumerate_reduced_bracelets(AB, n)]
+    return enumerate_cosets(Presentation(AB, tuple(relators)))
+
+
+@pytest.mark.parametrize(
+    "order, defined, rows_sha256",
+    [
+        (8192, 25_078, "9b0a9d67fc77a26872be72fc232b6aec2d38e24a8bc4923aed739a67d0d4a24a"),
+        (4096, 11_851, "c04438e148e4e2abe6a807de0b7fdd4fc65afc58e2758f080210881fbe3c7102"),
+    ],
+)
+def test_benchmark_presentations_fingerprints(order, defined, rows_sha256):
+    # captured with the row-major enumerator; a change of definition order
+    # shows here first
+    table = canonical_table(order)
+    assert table.order == order
+    assert table.cosets_defined == defined
+    assert hashlib.sha256(repr(table.rows).encode()).hexdigest() == rows_sha256
+
+
+def test_enumerator_counters():
+    table = canonical_table(8192)
+    assert table.coincidences == table.cosets_defined - table.order == 16_886
+    assert table.order <= table.live_peak == 9_187 <= table.cosets_defined
+    small = enumerate_cosets(pres("aaa", "bbb", "abab"))
+    assert small.coincidences == small.cosets_defined - small.order
+    assert small.order <= small.live_peak <= small.cosets_defined
+
+
+def test_trace_rejects_an_incomplete_table():
+    table = enumerate_cosets(pres("aa"), max_cosets=50)
+    with pytest.raises(ValueError, match="incomplete"):
+        table.trace(0, P("a"))
+
+
+def test_trace_rejects_a_letter_beyond_the_rank():
+    table = enumerate_cosets(pres("aa", "bb", "ababab"))
+    with pytest.raises(ValueError, match="beyond rank 2"):
+        table.trace(0, (1, 3))
+    with pytest.raises(ValueError, match="beyond rank 2"):
+        table.trace(0, (-3,))
+
+
+def test_trace_rejects_a_coset_not_in_the_table():
+    table = enumerate_cosets(pres("aa", "bb", "ababab"))
+    for coset in (-1, 6):
+        with pytest.raises(ValueError, match="not in the table of order 6"):
+            table.trace(coset, P("a"))
