@@ -20,6 +20,7 @@ from typing import Iterable, Iterator
 from .bracelets import bracelet_canon
 from .words import (
     AB,
+    KEY_INVERSE,
     Alphabet,
     ParseError,
     Word,
@@ -28,7 +29,6 @@ from .words import (
     is_cyclically_reduced,
     is_freely_reduced,
     order_key,
-    pack,
     power,
     rotations,
     word_str,
@@ -68,53 +68,57 @@ class RelatorSet:
     @cached_property
     def _append_levels(self) -> list[tuple[int, list[dict[str, list[tuple]]]]]:
         """Per member length m, ascending: levels[k] for k from 0 to m maps
-        the packed inverse of a k-letter prefix to the entries, sorted by
-        member, of the members that start with that prefix.
+        the key of the inverse of a k-letter prefix to the entries of the
+        members that start with that prefix, in key order.
 
-        An entry is (Append move, packed member, inverse prefixes, k), where
-        inverse_prefixes[j] is the packed inverse of the member's first j
-        letters: a state cancels at least j letters of the member exactly
-        when it ends with that string.  Built on first use, so equality,
-        hashing and membership never touch it.
+        Each member has one entry, (Append move, key, inverse prefixes),
+        shared by its m + 1 levels; inverse_prefixes[j] is the key of the
+        inverse of the member's first j letters, so a state cancels at least
+        j letters of the member exactly when it ends with that string.  Built
+        on first use, so equality, hashing and membership never touch it.
         """
         by_length: dict[int, list[dict[str, list[tuple]]]] = {}
-        for r in sorted(self.members, key=lambda r: (len(r), r)):
-            move, packed, m = Append(r), pack(r), len(r)
+        for key, r in sorted((order_key(r), r) for r in self.members):
+            m = len(r)
             # the inverse of r[:k] is the last k letters of the inverse of r
-            inverse = pack(invert(r))
+            inverse = key[::-1].translate(KEY_INVERSE)
             prefixes = tuple(inverse[m - k :] for k in range(m + 1))
+            entry = (Append(r), key, prefixes)
             levels = by_length.setdefault(m, [{} for _ in range(m + 1)])
             for k, level in enumerate(levels):
-                level.setdefault(prefixes[k], []).append((move, packed, prefixes, k))
+                level.setdefault(prefixes[k], []).append(entry)
         return sorted(by_length.items())
 
-    def appends(self, s: str, cutoff: int) -> tuple[int, list[tuple]]:
-        """The members that may be appended to the packed state s without
+    def appends(self, s: str, cutoff: int) -> tuple[int, list[tuple[int, list[tuple]]]]:
+        """The members that may be appended to the state with key s without
         the result exceeding cutoff letters, and how many the half rule
         offers.
 
         The half rule: a member r no longer than the state qualifies only if
         appending it cancels at least h = ceil(len(r)/2) letters, that is
-        when s ends with the packed inverse of r[:h]; members longer than the
-        state always qualify.  The offered count is the number of members it
-        admits.  Of those, the entries returned are the ones whose appended
-        word has at most cutoff letters, which needs a cancellation of
-        ceil((len(s) + len(r) - cutoff) / 2); each entry's k is the larger
-        of the two bounds, so its cancellation is known to be at least k.
-        Entries come ordered by (length, member).
+        when s ends with the key of the inverse of r[:h]; members longer than
+        the state always qualify.  The offered count is the number of members
+        it admits.  Of those, the ones returned are those whose appended word
+        has at most cutoff letters, which needs a cancellation of
+        ceil((len(s) + len(r) - cutoff) / 2).  They come as (k, bucket)
+        pairs, one per member length, ascending: k is the larger of the two
+        bounds, so every member of the bucket is known to cancel at least k
+        letters, and the bucket lists them in key order.
         """
         n = len(s)
         offered = 0
-        out: list[tuple] = []
+        out: list[tuple[int, list[tuple]]] = []
         for m, levels in self._append_levels:
             half = (m + 1) // 2 if m <= n else 0
-            bucket = levels[half].get(s[n - half :], ())
+            bucket = levels[half].get(s[n - half :])
+            if bucket is None:
+                continue
             offered += len(bucket)
             k = (n + m - cutoff + 1) // 2
             if k <= half:
-                out += bucket
-            elif k <= m and k <= n:
-                out += levels[k].get(s[n - k :], ())
+                out.append((half, bucket))
+            elif k <= m and k <= n and (fits := levels[k].get(s[n - k :])):
+                out.append((k, fits))
         return offered, out
 
 

@@ -26,7 +26,7 @@ from .proofwords import (
     symmetrize,
     verify,
 )
-from .words import Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, pack, word_str
+from .words import Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, order_key, word_str
 
 
 @dataclass(frozen=True)
@@ -110,23 +110,22 @@ def _beam_attempt(
     """One deterministic beam run; returns the moves reaching the empty word
     from start, or None.
 
-    States are packed words (see words.pack): they hash once, slice in C,
-    and rank exactly like the tuples they encode.
+    States are order keys (see words.order_key): they hash once, slice in
+    C, and rank in the a < A < b < B letter order.
     """
     if start == ():
         return ()
     max_len = 4 * len(start)
     width = config.beam_width
-    # Conjugation by g maps w to g^-1 w g: (g, g^-1, move) in packed letters.
-    conjugations = [(pack((g,)), pack((-g,)), Conjugate(g)) for g in letters]
-    packed_start = pack(start)
-    visited = {packed_start}
-    beam = [_Node(packed_start, None, None)]
+    # Conjugation by g maps w to g^-1 w g: (g, g^-1, move) as keys.
+    conjugations = [(order_key((g,)), order_key((-g,)), Conjugate(g)) for g in letters]
+    start_key = order_key(start)
+    visited = {start_key}
+    beam = [_Node(start_key, None, None)]
     for _ in range(config.max_moves):
         # Each new word's parent and move; nodes are made for the chosen only.
         # Only this insertion-ordered dict is iterated: str hashes are salted
-        # per process, so iterating a set of packed words would not be
-        # deterministic.
+        # per process, so iterating a set of keys would not be deterministic.
         candidates: dict[str, tuple[_Node, Move]] = {}
         by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
         # Words longer than the cutoff are never built.  It falls only while
@@ -145,21 +144,22 @@ def _beam_attempt(
                     by_length[len(word)].append(word)
                     kept += 1
             # The index counts the members the half rule offers and returns,
-            # in (length, member) order, just those whose appended word stays
-            # within the cutoff, each with a cancellation k it has already
-            # established; the exact cancellation is counted up from there.
-            offered, entries = relators.appends(w, cutoff)
+            # in (length, key) order, just those whose appended word stays
+            # within the cutoff, bucketed with a cancellation they have
+            # already established; the exact one is counted up from there.
+            offered, buckets = relators.appends(w, cutoff)
             result.moves_tried += len(conjugations) + offered
             n = len(w)
-            for move, packed, inverse_prefixes, k in entries:
-                m = len(packed)
-                while k < m and w.endswith(inverse_prefixes[k + 1]):
-                    k += 1
-                word = w[: n - k] + packed[k:]
-                if word not in visited and word not in candidates:
-                    candidates[word] = (node, move)
-                    by_length[len(word)].append(word)
-                    kept += 1
+            for least, bucket in buckets:
+                for move, key, inverse_prefixes in bucket:
+                    k, m = least, len(key)
+                    while k < m and w.endswith(inverse_prefixes[k + 1]):
+                        k += 1
+                    word = w[: n - k] + key[k:]
+                    if word not in visited and word not in candidates:
+                        candidates[word] = (node, move)
+                        by_length[len(word)].append(word)
+                        kept += 1
             while kept - len(by_length[cutoff]) >= width:
                 kept -= len(by_length[cutoff])
                 cutoff -= 1
@@ -167,7 +167,7 @@ def _beam_attempt(
             return None
         if by_length[0]:
             return _moves_of(_Node("", *candidates[""]))
-        # Rank by (length, word): sort each length natively, shortest first,
+        # Rank by (length, key): sort each length natively, shortest first,
         # until the beam is full.
         chosen: list[str] = []
         for bucket in by_length[: cutoff + 1]:
@@ -184,13 +184,13 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     """Beam search for a move log proving the freely reduced target trivial.
 
     The beam runs from the inverse of the target's cyclically reduced core.
-    It is ordered by freely reduced word length, ties broken
-    lexicographically; a visited set prunes re-entered states.  Words longer
-    than a per-depth cutoff are never built: it starts at four times the
-    core and falls while at least beam_width candidates are strictly
-    shorter, so no word beyond it could be chosen; the relator index is
-    looked up at the cancellation the cutoff needs, so such appends are not
-    even fetched.  Restarts re-run the beam
+    It is ordered by freely reduced word length, ties broken in the
+    a < A < b < B letter order; a visited set prunes re-entered states.
+    Words longer than a per-depth cutoff are never built: it starts at four
+    times the core and falls while at least beam_width candidates are
+    strictly shorter, so no word beyond it could be chosen; the relator
+    index is looked up at the cancellation the cutoff needs, so such appends
+    are not even fetched.  Restarts re-run the beam
     over random base subsets, so they run only when base_subset_size is
     smaller than the number of bases; they are deterministic for a fixed seed.
     A found log starts at the inverse of the target: one conjugation per

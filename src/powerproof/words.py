@@ -95,27 +95,12 @@ def letter_index(x: int) -> int:
     return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
 
 
-# Two string encodings of words, one code point per letter.  Each realises a
-# different order, and neither can stand in for the other: the beam search
-# ranks its states in the tuple order, while bracelet representatives and
-# relator bases are named and sorted in the letter order.
-#
-# Packed words: chr(_PACK_ZERO + x).  The encoding is monotone in x, so
-# packed words compare exactly like their tuples; word_str letters would not
-# (they sort A < B < a < b, the tuples -2 < -1 < 1 < 2).  Ranks up to 26
-# stay within ASCII.
-_PACK_ZERO = 0x40
-
-
-def pack(w: Word) -> str:
-    """The word as a string with one monotone-encoded code point per letter."""
-    return "".join([chr(_PACK_ZERO + x) for x in w])
-
-
-# Order keys: chr(_KEY_ZERO + letter_index(x)), so that keys compare like
-# their words in the letter order a < A < b < B < ... (a proper prefix
-# first).  _KEY_CHARS[x] is the code point of letter x, negative letters
-# indexing from the end of the list.
+# Order keys: one code point chr(_KEY_ZERO + letter_index(x)) per letter x,
+# so that keys compare like their words in the letter order a < A < b < B
+# < ... (a proper prefix first) and stay within ASCII up to rank 26.  The
+# beam search keeps its states as keys, and bracelet representatives and
+# relator bases are named and sorted by them.  _KEY_CHARS[x] is the code
+# point of letter x, negative letters indexing from the end of the list.
 _KEY_ZERO = 0x41
 _KEY_CHARS = [chr(_KEY_ZERO + letter_index(x)) if x else "" for x in (*range(27), *range(-26, 0))]
 _KEY_LETTERS = {c: x for x in range(-26, 27) if (c := _KEY_CHARS[x])}

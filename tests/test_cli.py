@@ -1,6 +1,7 @@
 import hashlib
 import importlib.resources
 import os
+import re
 import subprocess
 import sys
 
@@ -345,3 +346,20 @@ def test_python_dash_m_runs_the_command(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["aa", "ab", "aB", "bb"]
+
+
+@pytest.mark.slow
+def test_search_is_identical_across_hash_seeds(tmp_path):
+    # str hashes are salted per process; the beam keeps its states as
+    # strings, so two seeds must still give the same proof and counters
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    argv = [sys.executable, "-m", "powerproof", "search", "--engel", "5", "--exponent", "4",
+            "--lyndon-upto", "5", "--beam", "300", "--max-moves", "400"]
+    runs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+        assert proc.returncode == 0
+        runs.append((proc.stdout, re.sub(r"elapsed \S+", "", proc.stderr)))
+    assert runs[0] == runs[1]
+    assert runs[0][1].startswith("states visited 31714, moves tried 437707,")

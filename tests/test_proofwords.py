@@ -26,7 +26,7 @@ from powerproof.words import (
     cyclic_reduce,
     free_reduce,
     invert,
-    pack,
+    order_key,
     parse_word as P,
     rotations,
 )
@@ -70,7 +70,11 @@ def appendable(relators, w):
     """The members RelatorSet.appends returns for w under a cutoff that no
     appended word can reach, as tuples."""
     cutoff = len(w) + max(map(len, relators.members))
-    return [move.relator for move, *_ in relators.appends(pack(w), cutoff)[1]]
+    return relators_of(relators.appends(order_key(w), cutoff)[1])
+
+
+def relators_of(buckets):
+    return [move.relator for _, bucket in buckets for move, *_ in bucket]
 
 
 @given(st.lists(base_words, min_size=1, max_size=4), st.integers(2, 5), st.lists(reduced_words, max_size=8))
@@ -85,14 +89,18 @@ def test_appendable_matches_naive_filter(bases, exponent, states):
 
 def test_appendable_examples():
     rs = symmetrize([P("ab")], 2)  # abab, baba, BABA, ABAB
-    assert appendable(rs, ()) == sorted(rs.members)
+    assert appendable(rs, ()) == [P("abab"), P("ABAB"), P("baba"), P("BABA")]
     assert appendable(rs, P("BABABA")) == [P("abab")]
     assert appendable(rs, P("aaaaa")) == []
     # a state shorter than the members: all four are offered, but within
     # 2 letters only abab fits (BA abab -> ab), and nothing fits in 1
-    offered, entries = rs.appends(pack(P("BA")), 2)
-    assert offered == 4 and [move.relator for move, *_ in entries] == [P("abab")]
-    assert rs.appends(pack(P("BA")), 1) == (4, [])
+    offered, buckets = rs.appends(order_key(P("BA")), 2)
+    assert offered == 4 and relators_of(buckets) == [P("abab")]
+    assert [k for k, _ in buckets] == [2]
+    assert rs.appends(order_key(P("BA")), 1) == (4, [])
+    # the index holds one entry per member, shared by all its levels
+    entries = {id(e) for _, levels in rs._append_levels for level in levels for b in level.values() for e in b}
+    assert len(entries) == len(rs.members)
 
 
 small_bases = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6).map(
@@ -111,19 +119,20 @@ def test_appends_respect_the_cutoff(bases, exponent, data):
         prefix = member[: data.draw(st.integers(0, len(member)))]
         w = free_reduce(data.draw(reduced_words) + invert(prefix))
         cutoff = data.draw(st.integers(-2, 40))
-        offered, entries = rs.appends(pack(w), cutoff)
+        offered, buckets = rs.appends(order_key(w), cutoff)
         naive = naive_appendable(rs, w)
         assert offered == len(naive)
         fits = [r for r in naive if len(free_reduce(w + r)) <= cutoff]
-        assert [move.relator for move, *_ in entries] == fits
-        for move, packed, inverse_prefixes, k in entries:
-            r = move.relator
-            assert packed == pack(r)
-            assert inverse_prefixes == tuple(pack(invert(r[:j])) for j in range(len(r) + 1))
-            # the entry's k is a cancellation the appended word really has,
-            # and at least what the cutoff needs
-            assert pack(w).endswith(inverse_prefixes[k])
-            assert 2 * k >= len(w) + len(r) - cutoff
+        assert relators_of(buckets) == fits
+        for k, bucket in buckets:
+            for move, key, inverse_prefixes in bucket:
+                r = move.relator
+                assert key == order_key(r)
+                assert inverse_prefixes == tuple(order_key(invert(r[:j])) for j in range(len(r) + 1))
+                # the bucket's k is a cancellation every appended word in it
+                # really has, and at least what the cutoff needs
+                assert order_key(w).endswith(inverse_prefixes[k])
+                assert 2 * k >= len(w) + len(r) - cutoff
 
 
 def test_parse_proof_example():

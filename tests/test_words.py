@@ -18,7 +18,6 @@ from powerproof.words import (
     key_word,
     letter_index,
     order_key,
-    pack,
     parse_word,
     power,
     rotations,
@@ -145,21 +144,8 @@ ranked_words = st.integers(2, 26).flatmap(lambda rank: st.lists(reduced_words_of
 
 def test_pack_is_ascii_one_letter_per_code_point():
     w = (-26, -1, 1, 26)
-    for encode in (pack, order_key):
-        assert encode(w).isascii() and len(encode(w)) == len(w)
-        assert encode(()) == ""
-
-
-@given(ranked_words)
-def test_pack_round_trip_and_inverse(ws):
-    for w in ws:
-        assert tuple(ord(c) - 0x40 for c in pack(w)) == w
-
-
-@given(ranked_words)
-def test_packed_words_sort_like_tuples(ws):
-    # across lengths too: a proper prefix sorts first in both orders
-    assert sorted(pack(w) for w in ws) == [pack(w) for w in sorted(ws)]
+    assert order_key(w).isascii() and len(order_key(w)) == len(w)
+    assert order_key(()) == ""
 
 
 @given(ranked_words)

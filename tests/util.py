@@ -12,7 +12,7 @@ from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, CosetTable, Presentation
 from powerproof.proofwords import Append, Conjugate, ProofWord, RelatorSet
 from powerproof.search import MoveLog, SearchConfig, apply_move
-from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, rotations
+from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, rotations
 
 
 def reduce_str(s: str) -> str:
@@ -37,10 +37,10 @@ def bracelet_canon_oracle(w: Word) -> Word:
 
 
 def naive_appendable(relators: RelatorSet, w: Word) -> list[Word]:
-    """Members, by (length, word), that cancel at least half of themselves
+    """Members, by (length, key), that cancel at least half of themselves
     against w, plus every member longer than w."""
     out = []
-    for r in sorted(relators.members, key=lambda r: (len(r), r)):
+    for r in sorted(relators.members, key=lambda r: (len(r), order_key(r))):
         k = 0
         while k < min(len(w), len(r)) and w[-1 - k] == -r[k]:
             k += 1
@@ -58,7 +58,7 @@ def reference_search(
 
     States are tuples moved by apply_move; every candidate of a depth is
     built, first found first kept, and the whole set is ranked by (length,
-    word), words longer than four times the core dropped.
+    key), words longer than four times the core dropped.
     """
     core, outer = cyclic_reduce(target)
     lead = tuple(Conjugate(g) for g in invert(outer))
@@ -84,7 +84,7 @@ def reference_search(
             break
         if () in candidates:
             return MoveLog(invert(target), lead + candidates[()]), states, moves_tried
-        beam = sorted(candidates.items(), key=lambda item: (len(item[0]), item[0]))[: config.beam_width]
+        beam = sorted(candidates.items(), key=lambda item: (len(item[0]), order_key(item[0])))[: config.beam_width]
         visited.update(w for w, _ in beam)
         states += len(beam)
     return None, states, moves_tried
