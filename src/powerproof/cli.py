@@ -17,7 +17,6 @@ from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from .cosets import Presentation, enumerate_cosets
 from .engel import engel_word
 from .proofwords import (
-    ProofWord,
     fold,
     parse_proof,
     proof_str,
@@ -30,30 +29,17 @@ from .search import SearchConfig, reconstruct, search
 from .words import AB, Alphabet, Word, cyclic_reduce, free_reduce, parse_word, word_str
 
 
-def _read_lines(path: str) -> list[str]:
-    """The file's lines, each '#' comment line blanked so that parse errors
-    keep the file's line numbers."""
+def _read(path: str) -> str:
     with open(path) as f:
-        return ["\n" if line.lstrip().startswith("#") else line for line in f]
-
-
-def _read_word_file(path: str, alphabet: Alphabet) -> Word:
-    """One word, possibly wrapped over several lines; '#' lines are comments."""
-    return parse_word("".join(_read_lines(path)), alphabet)
-
-
-def _read_proof(path: str, alphabet: Alphabet) -> ProofWord:
-    """Proof-word text from a file, parsed."""
-    with open(path) as f:
-        return parse_proof(f.read(), alphabet)
+        return f.read()
 
 
 def _read_words_file(path: str, alphabet: Alphabet) -> list[Word]:
     """One word per line; blank lines and '#' lines are skipped."""
-    lines = _read_lines(path)
+    text = _read(path)
     # a bad character is reported by its line and column in the file
-    parse_word("".join(lines), alphabet)
-    return [parse_word(line, alphabet) for line in lines if line.strip()]
+    parse_word(text, alphabet)
+    return [w for line in text.split("\n") if (w := parse_word(line, alphabet))]
 
 
 def _target_word(args) -> Word:
@@ -61,7 +47,7 @@ def _target_word(args) -> Word:
         if args.alphabet.rank < 2:
             raise ValueError("--engel needs --rank 2 or more: the Engel words use a and b")
         return engel_word(args.engel)
-    return free_reduce(_read_word_file(args.target, args.alphabet))
+    return free_reduce(parse_word(_read(args.target), args.alphabet))
 
 
 def _base_classes(alphabet: Alphabet, lengths: Iterable[int], lyndon: bool) -> list[Word]:
@@ -101,7 +87,7 @@ def _relator_set(args):
 
 
 def _cmd_verify(args) -> int:
-    proof = _read_proof(args.proof, args.alphabet)
+    proof = parse_proof(_read(args.proof), args.alphabet)
     target = _target_word(args)
     relators = _relator_set(args)
     if relators is not None:
@@ -118,7 +104,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    st = stats(_read_proof(args.proof, args.alphabet), args.exponent)
+    st = stats(parse_proof(_read(args.proof), args.alphabet), args.exponent)
     print(f"overall length {st.overall_length}")
     print(f"count of relators {st.relator_count}")
     print(f"sum of relator lengths {st.relator_length_sum}")
@@ -131,7 +117,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    print(proof_str(fold(_read_proof(args.proof, args.alphabet))))
+    print(proof_str(fold(parse_proof(_read(args.proof), args.alphabet))))
     return 0
 
 

@@ -31,6 +31,7 @@ from .words import (
     order_key,
     power,
     rotations,
+    scan,
     word_str,
 )
 
@@ -180,50 +181,30 @@ class ProofWord:
 
 def proof_str(p: ProofWord) -> str:
     """Text form: relators parenthesised, everything else bare letters."""
-    parts = []
-    for c, r in zip(p.conjugators, p.relators):
-        parts.append(word_str(c))
-        parts.append(f"({word_str(r)})")
-    parts.append(word_str(p.conjugators[-1]))
-    return "".join(parts)
+    return "".join(f"({word_str(s)})" if i % 2 else word_str(s) for i, s in enumerate(p.segments()))
 
 
 def parse_proof(text: str, alphabet: Alphabet = AB) -> ProofWord:
     """Parse proof-word text.
 
-    Whitespace and newlines are ignored and lines starting with '#' are
-    comments.  Parentheses must balance and must not nest; conjugator
-    segments must be freely reduced as written; relator segments must be
-    non-empty.
+    Whitespace and '#' comment lines are skipped as ``scan`` does.
+    Parentheses must balance and must not nest; conjugator segments must be
+    freely reduced as written; relator segments must be non-empty.
     """
     conjugators: list[Word] = []
     relators: list[Word] = []
     current: list[int] = []
     in_relator = False
     open_pos = 0
-    at_line_start = True
-    in_comment = False
-    for i, ch in enumerate(text):
-        if ch == "\n":
-            at_line_start = True
-            in_comment = False
-            continue
-        if in_comment:
-            continue
-        if ch == "#" and at_line_start:
-            in_comment = True
-            continue
-        if ch.isspace():
-            continue
-        at_line_start = False
-        if ch == "(":
+    for i, item in scan(text, alphabet, "()"):
+        if item == "(":
             if in_relator:
                 raise ParseError("nested '(' in proof word", text, i)
             conjugators.append(tuple(current))
             current = []
             in_relator = True
             open_pos = i
-        elif ch == ")":
+        elif item == ")":
             if not in_relator:
                 raise ParseError("unmatched ')' in proof word", text, i)
             if not current:
@@ -232,12 +213,9 @@ def parse_proof(text: str, alphabet: Alphabet = AB) -> ProofWord:
             current = []
             in_relator = False
         else:
-            letter = alphabet.letter(ch)
-            if letter == 0:
-                raise ParseError(f"invalid character {ch!r} for rank-{alphabet.rank} alphabet", text, i)
-            if not in_relator and current and current[-1] == -letter:
+            if not in_relator and current and current[-1] == -item:
                 raise ParseError("conjugating segment is not freely reduced", text, i)
-            current.append(letter)
+            current.append(item)
     if in_relator:
         raise ParseError("unclosed '(' in proof word", text, open_pos)
     conjugators.append(tuple(current))

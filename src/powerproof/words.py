@@ -9,6 +9,7 @@ words are immutable and hashable, so they can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 Word = tuple[int, ...]
 
@@ -52,20 +53,34 @@ class Alphabet:
 AB = Alphabet(2)
 
 
+def scan(text: str, alphabet: Alphabet = AB, marks: str = "") -> Iterator[tuple[int, int | str]]:
+    """Yield ``(position, item)`` for each letter and mark character of text.
+
+    A letter comes as its signed int, a character of ``marks`` as itself;
+    ``position`` is its index in text.  Whitespace is skipped, and so is
+    every line whose first non-blank character is '#'.  Any other character
+    raises ParseError.
+    """
+    start = 0
+    for line in text.split("\n"):
+        if not line.lstrip().startswith("#"):
+            for i, ch in enumerate(line, start):
+                if letter := alphabet.letter(ch):
+                    yield i, letter
+                elif ch in marks:
+                    yield i, ch
+                elif not ch.isspace():
+                    raise ParseError(f"invalid character {ch!r} for rank-{alphabet.rank} alphabet", text, i)
+        start += len(line) + 1
+
+
 def parse_word(text: str, alphabet: Alphabet = AB) -> Word:
-    """Parse word text into a letter tuple, ignoring whitespace.
+    """Parse word text into a letter tuple, skipping whitespace and '#'
+    comment lines as ``scan`` does.
 
     The result is exactly the sequence written; it is NOT freely reduced.
     """
-    letters = []
-    for i, ch in enumerate(text):
-        if ch.isspace():
-            continue
-        letter = alphabet.letter(ch)
-        if letter == 0:
-            raise ParseError(f"invalid character {ch!r} for rank-{alphabet.rank} alphabet", text, i)
-        letters.append(letter)
-    return tuple(letters)
+    return tuple(letter for _, letter in scan(text, alphabet))
 
 
 def word_str(w: Word) -> str:

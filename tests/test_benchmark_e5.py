@@ -24,9 +24,11 @@ def fixture_bases():
     return [power_base(r, 4) for r in distinct_presentation(e5_proof(), 4)]
 
 
-def swap_and_invert(w):
-    """The image of w under a -> B, b -> A."""
-    return tuple(-3 + x if x > 0 else 3 + x for x in w)
+def image(w, swap, invert_a, invert_b):
+    """The image of w under the map taking a to b if swap else a, and b to
+    a if swap else b, each image inverted if invert_a or invert_b says so."""
+    to = {1: (-1 if invert_a else 1) * (2 if swap else 1), 2: (-1 if invert_b else 1) * (1 if swap else 2)}
+    return tuple(to[x] if x > 0 else -to[-x] for x in w)
 
 
 E5 = engel_word(5)
@@ -44,10 +46,42 @@ E5 = engel_word(5)
             "8d650b5a460ac13654ca8d9caa6c4eabd032323f5d79d93453278edbe9041aab", None,
             id="lyndon5",
         ),
+        # E5 under the other 7 of the 8 maps that swap a and b, invert a,
+        # invert b, or any mix of these, over the same bases
         pytest.param(
-            lyndon_bases(5), swap_and_invert(E5), (100719, 1195242), (30, 468),
+            lyndon_bases(5), image(E5, True, True, True), (100719, 1195242), (30, 468),
             "006de32a16f6d5545f032348e3f7487d89667747981b184413d235c3ecbba89d", None,
-            id="lyndon5-image",
+            id="lyndon5-image",  # a -> B, b -> A
+        ),
+        pytest.param(
+            lyndon_bases(5), image(E5, False, False, True), (100719, 1247425), (30, 478),
+            "01389edc5e1558a750a3aed229aef12e714eee10e4a0e4da177b5cbb974ec792", None,
+            id="lyndon5-invert-b",  # b -> B
+        ),
+        pytest.param(
+            lyndon_bases(5), image(E5, False, True, False), (98719, 1295206), (30, 474),
+            "09bf823dee7ed2180a66e56d5e9811d080f92079a3d0a9603456c55a346f79df", None,
+            id="lyndon5-invert-a",  # a -> A
+        ),
+        pytest.param(
+            lyndon_bases(5), image(E5, False, True, True), (100719, 1323965), (30, 478),
+            "d8d37ebf451941c4f235223918a1316ab3d04b9f4fafd92f55050e480dc42bd3", None,
+            id="lyndon5-invert-ab",  # a -> A, b -> B
+        ),
+        pytest.param(
+            lyndon_bases(5), image(E5, True, False, False), (96719, 538659), (30, 466),
+            "b8ade05eaf2e6ab11ed63b9fdb67c188a579cd5726967b2e31a769743f268b45", None,
+            id="lyndon5-swap",  # a <-> b
+        ),
+        pytest.param(
+            lyndon_bases(5), image(E5, True, False, True), (100719, 1251691), (30, 476),
+            "40215f05686e27c4cee712d158faa863ab2484f623d4e1c6e007c08bc29f7602", None,
+            id="lyndon5-swap-invert-b",  # a -> b, b -> A
+        ),
+        pytest.param(
+            lyndon_bases(5), image(E5, True, True, False), (100719, 1188531), (30, 468),
+            "9bac6d07644795103db0e3b06d2646ba5b575a3547df8271c51e30eab974405b", None,
+            id="lyndon5-swap-invert-a",  # a -> B, b -> a
         ),
         pytest.param(
             lyndon_bases(4), E5, (153719, 694447), (54, 680),

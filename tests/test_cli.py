@@ -335,7 +335,13 @@ def test_parse_errors_name_line_and_column(tmp_path, capsys):
     bases.write_text("# bases\nab\n\n  aBx\n")
     code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--bases", str(bases))
     assert code == 1 and out == ""
-    assert err.startswith("error: invalid character 'x'") and "line 4, column 5" in err
+    # the position is the offset in the file, comment lines included
+    assert err.startswith("error: invalid character 'x'") and "line 4, column 5 (position 16)" in err
+    target = tmp_path / "target.w"
+    target.write_text("# target word\nABab x\n")
+    code, out, err = run(capsys, "search", "--target", str(target), "--exponent", "3", "--lyndon-upto", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: invalid character 'x'") and "line 2, column 6 (position 19)" in err
 
 
 def test_python_dash_m_runs_the_command(tmp_path):

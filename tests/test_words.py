@@ -43,6 +43,13 @@ def test_parse_does_not_reduce():
 
 def test_parse_ignores_whitespace():
     assert P(" a\nB\tb ") == (1, -2, 2)
+    # lines whose first non-blank character is '#' are comments
+    assert P("# c\n ab\n  # d\nB") == P("abB")
+    text = "# c\nab\n  # d\nbx"
+    with pytest.raises(ParseError) as exc:
+        P(text)
+    assert exc.value.position == text.index("x")
+    assert (exc.value.line, exc.value.column) == (4, 2)
 
 
 def test_parse_rejects_out_of_rank():
