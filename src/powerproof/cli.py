@@ -124,7 +124,7 @@ def _cmd_fold(args) -> int:
 def _cmd_search(args) -> int:
     relators = _relator_set(args)
     if relators is None:
-        print("search needs --bases or --lyndon-upto", file=sys.stderr)
+        print("error: search needs --bases, --max-base-len or --lyndon-upto", file=sys.stderr)
         return 2
     target = _target_word(args)
     config = SearchConfig(

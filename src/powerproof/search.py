@@ -83,20 +83,11 @@ class SearchResult:
         return self.log is not None
 
 
-class _Node:
-    __slots__ = ("word", "parent", "move")
-
-    def __init__(self, word: str, parent: "_Node | None", move: Move | None):
-        self.word = word
-        self.parent = parent
-        self.move = move
-
-
-def _moves_of(node: _Node) -> tuple[Move, ...]:
+def _moves_of(node: tuple) -> tuple[Move, ...]:
     moves = []
-    while node.move is not None:
-        moves.append(node.move)
-        node = node.parent
+    while node[2] is not None:
+        moves.append(node[2])
+        node = node[1]
     return tuple(reversed(moves))
 
 
@@ -111,22 +102,32 @@ def _beam_attempt(
     from start, or None.
 
     States are order keys (see words.order_key): they hash once, slice in
-    C, and rank in the a < A < b < B letter order.
+    C, and rank in the a < A < b < B letter order.  A conjugation child's
+    length is read from the end letters of its parent before it is built,
+    and a child of Conjugate(h) never builds its Conjugate(-h) child, which
+    is its parent.  moves_tried still counts every conjugation of every
+    state.
     """
     if start == ():
         return ()
     max_len = 4 * len(start)
     width = config.beam_width
-    # Conjugation by g maps w to g^-1 w g: (g, g^-1, move) as keys.
-    conjugations = [(order_key((g,)), order_key((-g,)), Conjugate(g)) for g in letters]
+    # Conjugation by g maps w to g^-1 w g: (g, g^-1, move, onward) with g
+    # and g^-1 as keys.  onward lists the conjugations the child tries: all
+    # but the one by g^-1, which would give back the parent, always visited.
+    conjugations = [(order_key((g,)), order_key((-g,)), Conjugate(g), []) for g in letters]
+    for _, g_inv, _, onward in conjugations:
+        onward += [c for c in conjugations if c[0] != g_inv]
     start_key = order_key(start)
     visited = {start_key}
-    beam = [_Node(start_key, None, None)]
+    # A node is (word, parent, move, the conjugations it tries).
+    beam = [(start_key, None, None, conjugations)]
     for _ in range(config.max_moves):
-        # Each new word's parent and move; nodes are made for the chosen only.
-        # Only this insertion-ordered dict is iterated: str hashes are salted
-        # per process, so iterating a set of keys would not be deterministic.
-        candidates: dict[str, tuple[_Node, Move]] = {}
+        # Each new word's parent, move and conjugations to try; nodes are
+        # made for the chosen only.  Only this insertion-ordered dict is
+        # iterated: str hashes are salted per process, so iterating a set of
+        # keys would not be deterministic.
+        candidates: dict[str, tuple] = {}
         by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
         # Words longer than the cutoff are never built.  It falls only while
         # at least `width` candidates are strictly shorter than it, so no
@@ -135,12 +136,32 @@ def _beam_attempt(
         cutoff = max_len
         kept = 0  # candidates no longer than the cutoff
         for node in beam:
-            w = node.word
-            for g, g_inv, move in conjugations:
-                u = w[1:] if w.startswith(g) else g_inv + w
-                word = u[:-1] if u.endswith(g_inv) else u + g
-                if len(word) <= cutoff and word not in visited and word not in candidates:
-                    candidates[word] = (node, move)
+            w, _, _, tries = node
+            n = len(w)
+            head, tail = w[0], w[-1]
+            for g, g_inv, move, onward in tries:
+                # The end letters give the child's length before it is built:
+                # g^-1 cancels a leading g, and g a trailing g^-1.  The cutoff
+                # can fall below n, so rotations are tested too.
+                if g == head:
+                    if g_inv == tail:
+                        if n - 2 > cutoff:
+                            continue
+                        word = w[1:-1]
+                    elif n > cutoff:
+                        continue
+                    else:
+                        word = w[1:] + g
+                elif g_inv == tail:
+                    if n > cutoff:
+                        continue
+                    word = g_inv + w[:-1]
+                elif n + 2 > cutoff:
+                    continue
+                else:
+                    word = g_inv + w + g
+                if word not in visited and word not in candidates:
+                    candidates[word] = (node, move, onward)
                     by_length[len(word)].append(word)
                     kept += 1
             # The index counts the members the half rule offers and returns,
@@ -149,7 +170,6 @@ def _beam_attempt(
             # already established; the exact one is counted up from there.
             offered, buckets = relators.appends(w, cutoff)
             result.moves_tried += len(conjugations) + offered
-            n = len(w)
             for least, bucket in buckets:
                 for move, key, inverse_prefixes in bucket:
                     k, m = least, len(key)
@@ -157,7 +177,7 @@ def _beam_attempt(
                         k += 1
                     word = w[: n - k] + key[k:]
                     if word not in visited and word not in candidates:
-                        candidates[word] = (node, move)
+                        candidates[word] = (node, move, conjugations)
                         by_length[len(word)].append(word)
                         kept += 1
             while kept - len(by_length[cutoff]) >= width:
@@ -166,7 +186,7 @@ def _beam_attempt(
         if not candidates:
             return None
         if by_length[0]:
-            return _moves_of(_Node("", *candidates[""]))
+            return _moves_of(("", *candidates[""]))
         # Rank by (length, key): sort each length natively, shortest first,
         # until the beam is full.
         chosen: list[str] = []
@@ -174,7 +194,7 @@ def _beam_attempt(
             chosen += sorted(bucket)[: width - len(chosen)]
             if len(chosen) == width:
                 break
-        beam = [_Node(word, *candidates[word]) for word in chosen]
+        beam = [(word, *candidates[word]) for word in chosen]
         visited.update(chosen)
         result.states_visited += len(beam)
     return None
@@ -190,7 +210,11 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     times the core and falls while at least beam_width candidates are
     strictly shorter, so no word beyond it could be chosen; the relator
     index is looked up at the cancellation the cutoff needs, so such appends
-    are not even fetched.  Restarts re-run the beam
+    are not even fetched, and a conjugation's length follows from whether
+    its letter cancels the first or last letter of the word.  Conjugating a
+    conjugation child by the inverse letter would give back its parent, so
+    that child is never built either; moves tried still counts every
+    conjugation of every state.  Restarts re-run the beam
     over random base subsets, so they run only when base_subset_size is
     smaller than the number of bases; they are deterministic for a fixed seed.
     A found log starts at the inverse of the target: one conjugation per

@@ -176,6 +176,13 @@ def test_search_rejects_lyndon_length_below_one(capsys):
     assert code == 2 and out == "" and "--lyndon-upto" in err
 
 
+def test_search_without_bases_names_every_bases_option(capsys):
+    code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3")
+    assert code == 2 and out == "" and err.startswith("error:")
+    for option in ("--bases", "--max-base-len", "--lyndon-upto"):
+        assert option in err
+
+
 SEARCH_E2 = ("search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3")
 
 

@@ -2,7 +2,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerproof.engel import engel_word
@@ -252,6 +252,10 @@ def test_key_search_logs_hold_in_the_tuple_algebra(bases, exponent, factors):
     st.integers(1, 8),
     st.integers(1, 12),
 )
+# a growing conjugation from a word one letter under the cutoff
+@example(bases=[(1,)], exponent=2, factors=[], extra=(2,), width=1, depth=2)
+# a rotation once the cutoff has fallen below the word's own length
+@example(bases=[(1, 1, -2)], exponent=2, factors=[((), 0), ((1,), 0)], extra=(), width=2, depth=2)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the length cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
