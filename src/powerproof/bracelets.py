@@ -62,12 +62,23 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
     the period of ``a[:t]`` (the length of its longest Lyndon prefix), the
     letter ``a[t]`` is at least ``a[t - p]``.  A smaller letter there makes
     the rotation at p smaller than the word, so no extension of that prefix
-    is canonical, and the walk never builds one.  A full word is a necklace
-    exactly when its period divides its length; only the cyclically reduced
-    necklaces reach ``bracelet_canon``, which still drops those whose
-    inverse class has a smaller member.  The rule only cuts words that are
-    not canonical, so the listing is the same as filtering every reduced
-    word, in the same order.
+    is canonical, and the walk never builds one.  Two more rules drop
+    necklaces that a rotation of the inverse word beats, with x = ``a[0]``:
+
+    - position 0 takes lowercase letters only: the canonical word starts
+      with the least letter of the word and its inverse, and that letter is
+      lowercase;
+    - no run of x^-1 is longer than the leading run of x, say L letters
+      long: an x^-1-run of R > L letters is an x-run of the inverse word, and
+      the rotation of the inverse starting there beats the word at position
+      L.  L is final when the rule fires, since x^-1 cannot follow x.
+
+    A full word is a necklace exactly when its period divides its length;
+    only the cyclically reduced necklaces that pass the two rules reach
+    ``bracelet_canon``, which still drops those whose inverse class has a
+    smaller member.  Every rule only cuts words that are not canonical, so
+    the listing is the same as filtering every reduced word, in the same
+    order.
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
@@ -75,22 +86,40 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
     top = len(letters)
     last = length - 1
     # a[t] is the letter index at position t and per[t] the period of a[:t];
-    # per[0] is never read.
+    # per[0] is never read.  lead[t] is the length of the leading x-run of
+    # a[:t + 1] and run[t] that of the x^-1-run ending at position t; x is
+    # a[0] and xi its inverse, set whenever position 0 changes.
     a = [-1] * length
     per = [1] * (length + 1)
+    lead = [1] * length
+    run = [0] * length
+    x = xi = -1
     found: list[BraceletClass] = []
     t = 0
     while t >= 0:
         j = a[t] + 1
-        if t and j == a[t - 1] ^ 1:
+        if t:
+            if j == a[t - 1] ^ 1:
+                j += 1
+        elif j & 1:
             j += 1
         if j >= top:
             t -= 1
             continue
         a[t] = j
         if t:
+            if j == xi:
+                r = run[t - 1] + 1
+                if r > lead[t - 1]:
+                    continue
+                run[t] = r
+            else:
+                run[t] = 0
+            lead[t] = t + 1 if j == x and lead[t - 1] == t else lead[t - 1]
             p = per[t]
             per[t + 1] = p if j == a[t - p] else t + 1
+        else:
+            x, xi = j, j ^ 1
         if t < last:
             t += 1
             a[t] = a[t - per[t]] - 1

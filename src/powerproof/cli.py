@@ -69,8 +69,7 @@ def _cmd_bracelets(args) -> int:
     if args.count:
         print(len(classes))
     else:
-        for w in classes:
-            print(word_str(w))
+        sys.stdout.write("".join(word_str(w) + "\n" for w in classes))
     return 0
 
 
@@ -158,6 +157,9 @@ def _cmd_order(args) -> int:
         if not r:
             raise ValueError(f"relator {word_str(w)!r} freely reduces to the empty word")
         relators.append(r)
+    if not relators:
+        # the free group: the enumeration would only run to the coset limit
+        raise ValueError(f"{args.relators} holds no relators")
     table = enumerate_cosets(Presentation(args.alphabet, tuple(relators)), args.max_cosets)
     print(
         f"cosets defined {table.cosets_defined}, live peak {table.live_peak}, coincidences {table.coincidences}",

@@ -35,8 +35,9 @@ class Presentation:
         for r in self.relators:
             if not r:
                 raise ValueError("relators must be non-empty")
-            if any(abs(x) > self.alphabet.rank for x in r):
-                raise ValueError(f"relator {word_str(r)!r} uses letters beyond rank {self.alphabet.rank}")
+            if not all(0 < abs(x) <= self.alphabet.rank for x in r):
+                # r need not be printable in the letter convention
+                raise ValueError(f"relator {r} uses letters beyond rank {self.alphabet.rank}")
             if not is_freely_reduced(r):
                 raise ValueError(f"relator {word_str(r)!r} is not freely reduced")
 

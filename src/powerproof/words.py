@@ -83,9 +83,17 @@ def parse_word(text: str, alphabet: Alphabet = AB) -> Word:
     return tuple(letter for _, letter in scan(text, alphabet))
 
 
+# _STR_CHARS[x] is the character of letter x; as with _KEY_CHARS below,
+# negative letters index from the end of the list.
+_STR_CHARS = [
+    chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) if x else ""
+    for x in (*range(27), *range(-26, 0))
+]
+
+
 def word_str(w: Word) -> str:
     """Format a word in the letter convention; the empty word prints as ''."""
-    return "".join(chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) for x in w)
+    return "".join(map(_STR_CHARS.__getitem__, w))
 
 
 def free_reduce(w: Word) -> Word:

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import groupby, product
 
 import pytest
 from hypothesis import given
@@ -135,7 +135,7 @@ def test_against_orbit_partition_oracle():
     # independent enumeration: partition every cyclically reduced word into
     # rotation+inversion orbits; the listing is each orbit's least member,
     # sorted in the letter order
-    for rank, max_length in [(1, 8), (2, 6), (3, 5), (4, 4)]:
+    for rank, max_length in [(1, 10), (2, 8), (3, 6), (4, 5)]:
         for length in range(1, max_length + 1):
             words = set(_all_cyclically_reduced(length, rank))
             least = []
@@ -149,8 +149,10 @@ def test_against_orbit_partition_oracle():
 
 
 def test_prefix_rule_prunes_canon_calls(monkeypatch):
-    # only cyclically reduced necklaces reach bracelet_canon; every class
-    # is one of them, as perfbench's tracer self-test assumes
+    # only cyclically reduced necklaces that start with a lowercase letter x
+    # and hold no x^-1-run longer than their leading x-run reach
+    # bracelet_canon (9,518 calls before those two rules); every class is
+    # one of them, as perfbench's tracer self-test assumes
     calls = 0
 
     def counting_canon(w):
@@ -161,5 +163,25 @@ def test_prefix_rule_prunes_canon_calls(monkeypatch):
     monkeypatch.setattr(bracelets, "bracelet_canon", counting_canon)
     classes = sum(len(enumerate_reduced_bracelets(AB, n)) for n in range(1, 11))
     assert classes == sum(REDUCED_COUNTS) == 4759
-    assert calls == 9518
+    assert calls == 5962
     assert calls >= classes
+
+
+def test_canon_sees_no_necklace_the_inverse_beats(monkeypatch):
+    # the walk hands bracelet_canon no word starting with an uppercase
+    # letter, nor one with an x^-1-run longer than its leading x-run
+    seen = []
+
+    def spying_canon(w):
+        seen.append(w)
+        return bracelet_canon(w)
+
+    monkeypatch.setattr(bracelets, "bracelet_canon", spying_canon)
+    for rank, max_length in [(1, 10), (2, 8), (3, 6), (4, 5)]:
+        for length in range(1, max_length + 1):
+            enumerate_reduced_bracelets(Alphabet(rank), length)
+    assert seen
+    for w in seen:
+        assert w[0] > 0, w
+        runs = [(y, len(list(g))) for y, g in groupby(w)]
+        assert all(n <= runs[0][1] for y, n in runs if y == -w[0]), w

@@ -40,6 +40,10 @@ def test_bracelets_count(capsys):
 def test_bracelets_listing(capsys):
     code, out, _ = run(capsys, "bracelets", "--rank", "2", "--len", "1")
     assert code == 0 and out.split() == ["a", "b"]
+    # an empty listing prints nothing: a^3 is the one class of length 3 on
+    # one generator, and a proper power
+    code, out, err = run(capsys, "bracelets", "--rank", "1", "--len", "3", "--lyndon")
+    assert (code, out, err) == (0, "", "")
 
 
 def test_bracelets_listings_are_byte_stable(capsys):
@@ -307,6 +311,16 @@ def test_order_names_a_relator_that_reduces_to_nothing(tmp_path, capsys):
     code, out, err = run(capsys, "order", "--relators", str(rels))
     assert code == 1 and out == ""
     assert err == "error: relator 'aA' freely reduces to the empty word\n"
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_order_without_relators_fails_at_once(tmp_path, capsys, text):
+    # the free group: enumerating it would only run to the coset limit
+    rels = tmp_path / "rels.w"
+    rels.write_text(text)
+    code, out, err = run(capsys, "order", "--relators", str(rels))
+    assert code == 1 and out == ""
+    assert err == f"error: {rels} holds no relators\n"
 
 
 def test_order_overflow(tmp_path, capsys):

@@ -128,6 +128,10 @@ def test_malformed_relators_rejected():
         Presentation(AB, ((),))
     with pytest.raises(ValueError):
         Presentation(Alphabet(1), (P("ab"),))
+    # letters that no character prints, beyond z or the zero letter
+    for bad in ((1, 30), (-40,), (1, 0)):
+        with pytest.raises(ValueError, match="uses letters beyond rank 2"):
+            Presentation(AB, (bad,))
 
 
 def test_cr_presentation_order():

@@ -72,6 +72,11 @@ def test_alphabet_rank_bounds():
 def test_word_str_inverts_parse():
     assert word_str(P("aBAb")) == "aBAb"
     assert word_str(()) == ""
+    # all 52 letters of rank 26, z and Z included
+    text = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    w = parse_word(text, Alphabet(26))
+    assert w == (*range(1, 27), *range(-1, -27, -1))
+    assert word_str(w) == text
 
 
 def test_free_reduce_examples():
