@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import eq
 
-from .words import KEY_INVERSE, Alphabet, Word, key_word, order_key, word_str
+from .words import KEY_INVERSE, LETTERS, Alphabet, Word, key_word, order_key, word_str
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
     order (by ``order_key``).
 
     Walks the freely reduced words in increasing letter order, depth first
-    and without recursion, over letter indices (a = 0, A = 1, b = 2, ...; the
+    and without recursion, over the letter indices of ``words.LETTERS`` (the
     inverse of index i is i ^ 1).  The canonical word of a class is the least
     of its rotations, so it is a necklace, and every prefix of a necklace
     obeys the prefix rule of Fredricksen, Kessler and Maiorana: with ``p``
@@ -82,7 +82,7 @@ def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[Bracele
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
-    letters = [x for g in range(1, alphabet.rank + 1) for x in (g, -g)]
+    letters = list(LETTERS[: 2 * alphabet.rank])
     top = len(letters)
     last = length - 1
     # a[t] is the letter index at position t and per[t] the period of a[:t];

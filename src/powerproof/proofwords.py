@@ -263,9 +263,12 @@ class VerifyReport:
     """Outcome of the three proof-word checks plus per-segment diagnostics."""
 
     flattens_to_target: bool
-    every_segment_is_relator: bool
     excision_trivial: bool
     bad_relators: tuple[int, ...]
+
+    @property
+    def every_segment_is_relator(self) -> bool:
+        return not self.bad_relators
 
     @property
     def valid(self) -> bool:
@@ -294,7 +297,6 @@ def verify(
         bad = tuple(i for i, r in enumerate(p.relators) if not _is_power_relator(r, exponent))
     return VerifyReport(
         flattens_to_target=flatten(p) == free_reduce(target),
-        every_segment_is_relator=not bad,
         excision_trivial=excision_word(p) == (),
         bad_relators=bad,
     )

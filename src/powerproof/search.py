@@ -26,7 +26,7 @@ from .proofwords import (
     symmetrize,
     verify,
 )
-from .words import Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, order_key, word_str
+from .words import LETTERS, Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, order_key, word_str
 
 
 @dataclass(frozen=True)
@@ -228,8 +228,8 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     core, outer = cyclic_reduce(target)
     lead = tuple(Conjugate(g) for g in invert(outer))
     start = invert(core)
-    letters = sorted({abs(x) for r in relators.members for x in r} | {abs(x) for x in core})
-    letters = [s * g for g in letters for s in (1, -1)]
+    used = {abs(x) for r in relators.members for x in r} | {abs(x) for x in core}
+    letters = [x for x in LETTERS if abs(x) in used]
     rng = random.Random(config.seed)
     sampling = config.base_subset_size is not None and config.base_subset_size < len(relators.bases)
     active = relators

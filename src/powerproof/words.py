@@ -29,6 +29,16 @@ class ParseError(ValueError):
         super().__init__(f"{message} at line {self.line}, column {self.column} (position {position})")
 
 
+# The letter order a < A < b < B < ... < z < Z, the one table that every
+# letter encoding below is read from: LETTERS[i] is the letter of index i,
+# and the inverse of the letter of index i has index i ^ 1.  A letter outside
+# it (0, or beyond +-26) raises KeyError in every encoding.
+LETTERS: tuple[int, ...] = tuple(x for g in range(1, 27) for x in (g, -g))
+_TEXT = "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
+_INDEX = {x: i for i, x in enumerate(LETTERS)}
+_STR = dict(zip(LETTERS, _TEXT))
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Generating set of a free group; generators map to 'a'..'z'."""
@@ -38,16 +48,6 @@ class Alphabet:
     def __post_init__(self):
         if not 1 <= self.rank <= 26:
             raise ValueError(f"rank must be between 1 and 26, got {self.rank}")
-
-    def letter(self, char: str) -> int:
-        """Signed letter for a single character, or 0 if not a valid letter."""
-        if "a" <= char <= "z":
-            g = ord(char) - ord("a") + 1
-            return g if g <= self.rank else 0
-        if "A" <= char <= "Z":
-            g = ord(char) - ord("A") + 1
-            return -g if g <= self.rank else 0
-        return 0
 
 
 AB = Alphabet(2)
@@ -61,11 +61,13 @@ def scan(text: str, alphabet: Alphabet = AB, marks: str = "") -> Iterator[tuple[
     every line whose first non-blank character is '#'.  Any other character
     raises ParseError.
     """
+    # the alphabet's characters read as the first 2 * rank letters of the table
+    chars = dict(zip(_TEXT, LETTERS[: 2 * alphabet.rank]))
     start = 0
     for line in text.split("\n"):
         if not line.lstrip().startswith("#"):
             for i, ch in enumerate(line, start):
-                if letter := alphabet.letter(ch):
+                if letter := chars.get(ch):
                     yield i, letter
                 elif ch in marks:
                     yield i, ch
@@ -83,17 +85,9 @@ def parse_word(text: str, alphabet: Alphabet = AB) -> Word:
     return tuple(letter for _, letter in scan(text, alphabet))
 
 
-# _STR_CHARS[x] is the character of letter x; as with _KEY_CHARS below,
-# negative letters index from the end of the list.
-_STR_CHARS = [
-    chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) if x else ""
-    for x in (*range(27), *range(-26, 0))
-]
-
-
 def word_str(w: Word) -> str:
     """Format a word in the letter convention; the empty word prints as ''."""
-    return "".join(map(_STR_CHARS.__getitem__, w))
+    return "".join(map(_STR.__getitem__, w))
 
 
 def free_reduce(w: Word) -> Word:
@@ -115,27 +109,25 @@ def invert(w: Word) -> Word:
 def letter_index(x: int) -> int:
     """Position of a letter in the order a, A, b, B, ...; the inverse letter
     of index i has index i ^ 1."""
-    return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
+    return _INDEX[x]
 
 
-# Order keys: one code point chr(_KEY_ZERO + letter_index(x)) per letter x,
-# so that keys compare like their words in the letter order a < A < b < B
-# < ... (a proper prefix first) and stay within ASCII up to rank 26.  The
-# beam search keeps its states as keys, and bracelet representatives and
-# relator bases are named and sorted by them.  _KEY_CHARS[x] is the code
-# point of letter x, negative letters indexing from the end of the list.
-_KEY_ZERO = 0x41
-_KEY_CHARS = [chr(_KEY_ZERO + letter_index(x)) if x else "" for x in (*range(27), *range(-26, 0))]
-_KEY_LETTERS = {c: x for x in range(-26, 27) if (c := _KEY_CHARS[x])}
+# Order keys: one code point chr(0x41 + i) per letter of index i, so that
+# keys compare like their words in the letter order (a proper prefix first)
+# and stay within ASCII up to rank 26.  The beam search keeps its states as
+# keys, and bracelet representatives and relator bases are named and sorted
+# by them.
+_KEY = {x: chr(0x41 + i) for i, x in enumerate(LETTERS)}
+_KEY_LETTERS = {c: x for x, c in _KEY.items()}
 # str.translate table taking the key of each letter to the key of its
 # inverse, index i to index i ^ 1.
-KEY_INVERSE = str.maketrans({chr(_KEY_ZERO + i): chr(_KEY_ZERO + (i ^ 1)) for i in range(52)})
+KEY_INVERSE = str.maketrans({_KEY[x]: _KEY[-x] for x in LETTERS})
 
 
 def order_key(w: Word) -> str:
     """The word as a string that sorts in the a < A < b < B < ... letter
     order; the inverse word's key is ``order_key(w)[::-1].translate(KEY_INVERSE)``."""
-    return "".join(map(_KEY_CHARS.__getitem__, w))
+    return "".join(map(_KEY.__getitem__, w))
 
 
 def key_word(key: str) -> Word:

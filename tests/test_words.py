@@ -4,10 +4,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from powerproof.bracelets import bracelet_canon
+from powerproof.proofwords import symmetrize
 from powerproof.words import (
     AB,
     Alphabet,
     KEY_INVERSE,
+    LETTERS,
     ParseError,
     conjugate,
     cyclic_reduce,
@@ -60,6 +63,15 @@ def test_parse_rejects_out_of_rank():
     with pytest.raises(ParseError):
         P("a1b")
     assert parse_word("c", Alphabet(3)) == (3,)
+    # each rank reads exactly the first 2 * rank characters of aAbB...zZ, as
+    # the first 2 * rank letters of the table, and rejects the next one
+    text = "aAbBcCdDeEfFgGhHiIjJkKlLmMnNoOpPqQrRsStTuUvVwWxXyYzZ"
+    for rank in range(1, 27):
+        assert parse_word(text[: 2 * rank], Alphabet(rank)) == LETTERS[: 2 * rank]
+        if rank < 26:
+            with pytest.raises(ParseError) as exc:
+                parse_word(text[: 2 * rank + 1], Alphabet(rank))
+            assert exc.value.position == 2 * rank
 
 
 def test_alphabet_rank_bounds():
@@ -77,6 +89,28 @@ def test_word_str_inverts_parse():
     w = parse_word(text, Alphabet(26))
     assert w == (*range(1, 27), *range(-1, -27, -1))
     assert word_str(w) == text
+
+
+def test_letter_table_orders_and_pairs_inverses():
+    assert len(LETTERS) == 52
+    for i, x in enumerate(LETTERS):
+        assert letter_index(x) == i
+        assert LETTERS[i ^ 1] == -x
+    keys = [order_key((x,)) for x in LETTERS]
+    assert all(k < next_k for k, next_k in zip(keys, keys[1:]))
+
+
+def test_letters_outside_the_table_raise():
+    # 0 and letters beyond +-26 have no index, character or key, so none of
+    # them may stand in for a letter of the table (-27 for 26, say)
+    for x in (0, 27, -27):
+        for encode in (order_key, word_str, bracelet_canon):
+            with pytest.raises(KeyError):
+                encode((x,))
+        with pytest.raises(KeyError):
+            letter_index(x)
+        with pytest.raises(KeyError):
+            symmetrize([(x,)], 4)
 
 
 def test_free_reduce_examples():
