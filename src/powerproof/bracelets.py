@@ -11,9 +11,8 @@ representative is not a proper power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
 
-from .words import KEY_INVERSE, LETTERS, Alphabet, Word, key_word, order_key, word_str
+from .words import KEY_INVERSE, LETTERS, Alphabet, Word, is_cyclically_reduced, key_word, order_key, word_str
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,9 @@ def bracelet_canon(w: Word) -> Word:
     if not w:
         raise ValueError("the empty word has no bracelet class")
     s = order_key(w)
-    u = s.translate(KEY_INVERSE)
-    # cyclically reduced: no letter is followed, cyclically, by its inverse
-    if any(map(eq, s[1:] + s[:1], u)):
+    if not is_cyclically_reduced(w):
         raise ValueError(f"bracelet_canon requires a cyclically reduced word, got {word_str(w)!r}")
+    u = s.translate(KEY_INVERSE)
     n = len(s)
     ss, tt = s + s, (u + u)[::-1]
     return key_word(min([ss[k : k + n] for k in range(n)] + [tt[k : k + n] for k in range(n)]))

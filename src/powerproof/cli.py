@@ -75,24 +75,20 @@ def _cmd_bracelets(args) -> int:
 
 def _relator_set(args):
     if args.bases is not None:
-        return symmetrize(_read_words_file(args.bases, args.alphabet), args.exponent)
-    if args.max_base_len is not None:
+        bases = _read_words_file(args.bases, args.alphabet)
+    elif args.max_base_len is not None:
         bases = _base_classes(args.alphabet, range(1, args.max_base_len + 1), lyndon=False)
-        return symmetrize(bases, args.exponent)
-    if getattr(args, "lyndon_upto", None) is not None:
+    elif getattr(args, "lyndon_upto", None) is not None:
         bases = _base_classes(args.alphabet, range(1, args.lyndon_upto + 1), lyndon=True)
-        return symmetrize(bases, args.exponent)
-    return None
+    else:
+        return None
+    return symmetrize(bases, args.exponent)
 
 
 def _cmd_verify(args) -> int:
     proof = parse_proof(_read(args.proof), args.alphabet)
     target = _target_word(args)
-    relators = _relator_set(args)
-    if relators is not None:
-        report = verify(proof, target, relators=relators)
-    else:
-        report = verify(proof, target, exponent=args.exponent)
+    report = verify(proof, target, relators=_relator_set(args), exponent=args.exponent)
     print(f"flattens to target: {report.flattens_to_target}")
     print(f"every segment is a relator: {report.every_segment_is_relator}")
     print(f"excision trivial: {report.excision_trivial}")
@@ -108,8 +104,7 @@ def _cmd_stats(args) -> int:
     print(f"count of relators {st.relator_count}")
     print(f"sum of relator lengths {st.relator_length_sum}")
     print(f"mean base word length {round2(st.mean_base_length)}")
-    pairs = st.conjugating_pairs
-    print(f"conjugating pairs {pairs if pairs.denominator > 1 else pairs.numerator}")
+    print(f"conjugating pairs {st.conjugating_pairs}")
     print(f"pairs per relator {round2(st.pairs_per_relator)}")
     print(f"distinct relators {st.distinct_relators}")
     return 0

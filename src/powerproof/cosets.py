@@ -157,16 +157,16 @@ class _Enumerator:
                     inverse[nu] = mu
 
     def scan_and_fill(self, c: int, idx: tuple[int, ...], fwd: tuple[list[int], ...], inv: tuple[list[int], ...]):
+        # Called only for a walk from c that meets a gap, so each forward
+        # scan stops at a gap, i <= j: first at the walk's gap, then at the
+        # coset just defined, whose one entry leads back the way it came
+        # (relators are freely reduced).
         f, i = c, 0
         b, j = c, len(fwd) - 1
         while True:
             while i <= j and fwd[i][f] != UNDEF:
                 f = fwd[i][f]
                 i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
             while j >= i and inv[j][b] != UNDEF:
                 b = inv[j][b]
                 j -= 1

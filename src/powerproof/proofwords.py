@@ -36,32 +36,23 @@ from .words import (
 )
 
 
-# The search's moves live here so that the relator index can carry each
-# member's Append.
-@dataclass(frozen=True)
-class Conjugate:
-    """Conjugation by one signed generator letter: w -> g^-1 w g."""
-
-    letter: int
-
-
-@dataclass(frozen=True)
-class Append:
-    """Right-multiplication by a relator: w -> w r."""
-
-    relator: Word
-
-
-Move = Conjugate | Append
-
-
 @dataclass(frozen=True)
 class RelatorSet:
-    """Symmetrized set of e-th powers: closed under rotation and inversion."""
+    """Symmetrized set of e-th powers: closed under rotation and inversion.
+
+    Only the exponent and the bases are stored; the members and the append
+    index are derived from them on first use, so equality, hashing and
+    construction never touch them.
+    """
 
     exponent: int
     bases: tuple[Word, ...]
-    members: frozenset[Word]
+
+    @cached_property
+    def members(self) -> frozenset[Word]:
+        """Every rotation of b^e and of (b^-1)^e for each base b."""
+        e = self.exponent
+        return frozenset(power(v, e) for b in self.bases for v in rotations(b) | rotations(invert(b)))
 
     def __contains__(self, w: Word) -> bool:
         return w in self.members
@@ -72,11 +63,10 @@ class RelatorSet:
         the key of the inverse of a k-letter prefix to the entries of the
         members that start with that prefix, in key order.
 
-        Each member has one entry, (Append move, key, inverse prefixes),
-        shared by its m + 1 levels; inverse_prefixes[j] is the key of the
-        inverse of the member's first j letters, so a state cancels at least
-        j letters of the member exactly when it ends with that string.  Built
-        on first use, so equality, hashing and membership never touch it.
+        Each member has one entry, (member, key, inverse prefixes), shared by
+        its m + 1 levels; inverse_prefixes[j] is the key of the inverse of
+        the member's first j letters, so a state cancels at least j letters
+        of the member exactly when it ends with that string.
         """
         by_length: dict[int, list[dict[str, list[tuple]]]] = {}
         for key, r in sorted((order_key(r), r) for r in self.members):
@@ -84,7 +74,7 @@ class RelatorSet:
             # the inverse of r[:k] is the last k letters of the inverse of r
             inverse = key[::-1].translate(KEY_INVERSE)
             prefixes = tuple(inverse[m - k :] for k in range(m + 1))
-            entry = (Append(r), key, prefixes)
+            entry = (r, key, prefixes)
             levels = by_length.setdefault(m, [{} for _ in range(m + 1)])
             for k, level in enumerate(levels):
                 level.setdefault(prefixes[k], []).append(entry)
@@ -126,24 +116,21 @@ class RelatorSet:
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:
     """Build the relator set generated by e-th powers of the given bases.
 
-    Members are all rotations of w^e and of (w^-1)^e for each base w; the
-    bases are stored as the deduplicated canonical bracelet representatives,
-    shortest first and in bracelet order within a length.
+    The bases are stored as the deduplicated canonical bracelet
+    representatives, shortest first and in bracelet order within a length;
+    the members, all rotations of w^e and of (w^-1)^e for each base w, follow
+    from them.
     """
     if exponent < 1:
         raise ValueError(f"exponent must be positive, got {exponent}")
     canon: set[Word] = set()
-    members: set[Word] = set()
     for base in bases:
         if not base or not is_cyclically_reduced(base):
             raise ValueError(
                 f"relator bases must be non-empty and cyclically reduced, got {word_str(base)!r}"
             )
         canon.add(bracelet_canon(base))
-        members |= rotations(power(base, exponent))
-        members |= rotations(power(invert(base), exponent))
-    ordered = tuple(sorted(canon, key=lambda w: (len(w), order_key(w))))
-    return RelatorSet(exponent, ordered, frozenset(members))
+    return RelatorSet(exponent, tuple(sorted(canon, key=lambda w: (len(w), order_key(w)))))
 
 
 @dataclass(frozen=True)

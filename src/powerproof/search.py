@@ -14,19 +14,25 @@ import random
 import time
 from dataclasses import dataclass
 
-from .proofwords import (
-    Append,
-    Conjugate,
-    Move,
-    ProofWord,
-    RelatorSet,
-    flatten,
-    fold,
-    power_base,
-    symmetrize,
-    verify,
-)
+from .proofwords import ProofWord, RelatorSet, flatten, fold, power_base, symmetrize, verify
 from .words import LETTERS, Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, order_key, word_str
+
+
+@dataclass(frozen=True)
+class Conjugate:
+    """Conjugation by one signed generator letter: w -> g^-1 w g."""
+
+    letter: int
+
+
+@dataclass(frozen=True)
+class Append:
+    """Right-multiplication by a relator: w -> w r."""
+
+    relator: Word
+
+
+Move = Conjugate | Append
 
 
 @dataclass(frozen=True)
@@ -84,9 +90,12 @@ class SearchResult:
 
 
 def _moves_of(node: tuple) -> tuple[Move, ...]:
+    """The moves from the start to node; a node's move is a conjugation
+    letter (an int) or an appended member (a word)."""
     moves = []
     while node[2] is not None:
-        moves.append(node[2])
+        m = node[2]
+        moves.append(Conjugate(m) if isinstance(m, int) else Append(m))
         node = node[1]
     return tuple(reversed(moves))
 
@@ -112,15 +121,16 @@ def _beam_attempt(
         return ()
     max_len = 4 * len(start)
     width = config.beam_width
-    # Conjugation by g maps w to g^-1 w g: (g, g^-1, move, onward) with g
+    # Conjugation by g maps w to g^-1 w g: (g, g^-1, letter, onward) with g
     # and g^-1 as keys.  onward lists the conjugations the child tries: all
     # but the one by g^-1, which would give back the parent, always visited.
-    conjugations = [(order_key((g,)), order_key((-g,)), Conjugate(g), []) for g in letters]
+    conjugations = [(order_key((g,)), order_key((-g,)), g, []) for g in letters]
     for _, g_inv, _, onward in conjugations:
         onward += [c for c in conjugations if c[0] != g_inv]
     start_key = order_key(start)
     visited = {start_key}
-    # A node is (word, parent, move, the conjugations it tries).
+    # A node is (word, parent, move, the conjugations it tries), the move
+    # being its conjugation letter or its appended member.
     beam = [(start_key, None, None, conjugations)]
     for _ in range(config.max_moves):
         # Each new word's parent, move and conjugations to try; nodes are
@@ -139,7 +149,7 @@ def _beam_attempt(
             w, _, _, tries = node
             n = len(w)
             head, tail = w[0], w[-1]
-            for g, g_inv, move, onward in tries:
+            for g, g_inv, letter, onward in tries:
                 # The end letters give the child's length before it is built:
                 # g^-1 cancels a leading g, and g a trailing g^-1.  The cutoff
                 # can fall below n, so rotations are tested too.
@@ -161,7 +171,7 @@ def _beam_attempt(
                 else:
                     word = g_inv + w + g
                 if word not in visited and word not in candidates:
-                    candidates[word] = (node, move, onward)
+                    candidates[word] = (node, letter, onward)
                     by_length[len(word)].append(word)
                     kept += 1
             # The index counts the members the half rule offers and returns,
@@ -171,13 +181,13 @@ def _beam_attempt(
             offered, buckets = relators.appends(w, cutoff)
             result.moves_tried += len(conjugations) + offered
             for least, bucket in buckets:
-                for move, key, inverse_prefixes in bucket:
+                for member, key, inverse_prefixes in bucket:
                     k, m = least, len(key)
                     while k < m and w.endswith(inverse_prefixes[k + 1]):
                         k += 1
                     word = w[: n - k] + key[k:]
                     if word not in visited and word not in candidates:
-                        candidates[word] = (node, move, conjugations)
+                        candidates[word] = (node, member, conjugations)
                         by_length[len(word)].append(word)
                         kept += 1
             while kept - len(by_length[cutoff]) >= width:
@@ -228,7 +238,7 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     core, outer = cyclic_reduce(target)
     lead = tuple(Conjugate(g) for g in invert(outer))
     start = invert(core)
-    used = {abs(x) for r in relators.members for x in r} | {abs(x) for x in core}
+    used = {abs(x) for b in relators.bases for x in b} | {abs(x) for x in core}
     letters = [x for x in LETTERS if abs(x) in used]
     rng = random.Random(config.seed)
     sampling = config.base_subset_size is not None and config.base_subset_size < len(relators.bases)

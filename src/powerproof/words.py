@@ -9,6 +9,7 @@ words are immutable and hashable, so they can be shared freely.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq, neg
 from typing import Iterator
 
 Word = tuple[int, ...]
@@ -136,14 +137,14 @@ def key_word(key: str) -> Word:
 
 
 def is_freely_reduced(w: Word) -> bool:
-    return all(w[i] != -w[i + 1] for i in range(len(w) - 1))
+    """No letter is followed by its inverse."""
+    return not any(map(eq, w[1:], map(neg, w)))
 
 
 def is_cyclically_reduced(w: Word) -> bool:
-    """Freely reduced and the first and last letters are not mutual inverses."""
-    if not is_freely_reduced(w):
-        return False
-    return len(w) < 2 or w[0] != -w[-1]
+    """No letter is followed, cyclically, by its inverse: freely reduced, and
+    the last letter is not the inverse of the first."""
+    return not any(map(eq, w, map(neg, w[1:] + w[:1])))
 
 
 def conjugate(w: Word, u: Word) -> Word:

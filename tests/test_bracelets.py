@@ -80,6 +80,12 @@ def test_canon_rejects_bad_input():
             bracelet_canon(P(bad))
 
 
+def test_enumeration_rejects_length_below_one():
+    for enumerate_classes in (enumerate_reduced_bracelets, enumerate_lyndon):
+        with pytest.raises(ValueError, match="length must be positive, got 0"):
+            enumerate_classes(AB, 0)
+
+
 def test_is_proper_power():
     assert is_proper_power(P("abab"))
     assert is_proper_power(P("aaa"))

@@ -79,6 +79,11 @@ def test_bracelets_rejects_length_below_one(capsys):
         assert code == 2 and out == "" and "--len" in err
 
 
+def test_bracelets_rejects_a_length_that_is_not_an_int(capsys):
+    code, out, err = run(capsys, "bracelets", "--len", "x")
+    assert code == 2 and out == "" and "argument --len: invalid int value: 'x'" in err
+
+
 def test_verify_fixture(capsys):
     code, out, _ = run(
         capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4",

@@ -128,10 +128,17 @@ def test_malformed_relators_rejected():
         Presentation(AB, ((),))
     with pytest.raises(ValueError):
         Presentation(Alphabet(1), (P("ab"),))
+    with pytest.raises(ValueError, match="'aA' is not freely reduced"):
+        Presentation(AB, ((1, -1),))
     # letters that no character prints, beyond z or the zero letter
     for bad in ((1, 30), (-40,), (1, 0)):
         with pytest.raises(ValueError, match="uses letters beyond rank 2"):
             Presentation(AB, (bad,))
+
+
+def test_max_cosets_must_be_positive():
+    with pytest.raises(ValueError, match="max_cosets must be positive"):
+        enumerate_cosets(pres("aa"), max_cosets=0)
 
 
 def test_cr_presentation_order():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof, e5_proof_text
 from powerproof.proofwords import (
     ProofWord,
+    RelatorSet,
     distinct_presentation,
     excision_word,
     flatten,
@@ -41,6 +43,13 @@ def test_symmetrize_examples():
     assert symmetrize([P("AbA")], 4).members == symmetrize([P("bAA")], 4).members
 
 
+def test_relator_set_stores_only_its_bases():
+    assert [f.name for f in dataclasses.fields(RelatorSet)] == ["exponent", "bases"]
+    # the members follow from the bases however they were chosen
+    assert RelatorSet(4, (P("a"),)).members == {P("aaaa"), P("AAAA")}
+    assert RelatorSet(2, (P("Ab"),)).members == symmetrize([P("bA")], 2).members
+
+
 def test_symmetrize_closure():
     rs = symmetrize([P("a"), P("ab"), P("aaB")], 3)
     for w in rs.members:
@@ -53,6 +62,8 @@ def test_symmetrize_rejects_bad_base():
         symmetrize([P("abA")], 4)
     with pytest.raises(ValueError):
         symmetrize([()], 4)
+    with pytest.raises(ValueError, match="exponent must be positive, got 0"):
+        symmetrize([P("a")], 0)
 
 
 def test_symmetrize_dedupes_bases():
@@ -74,7 +85,7 @@ def appendable(relators, w):
 
 
 def relators_of(buckets):
-    return [move.relator for _, bucket in buckets for move, *_ in bucket]
+    return [r for _, bucket in buckets for r, *_ in bucket]
 
 
 @given(st.lists(base_words, min_size=1, max_size=4), st.integers(2, 5), st.lists(reduced_words, max_size=8))
@@ -82,7 +93,7 @@ def test_appendable_matches_naive_filter(bases, exponent, states):
     rs = symmetrize(bases, exponent)
     for w in states:
         assert appendable(rs, w) == naive_appendable(rs, w)
-    # the lazily built index takes no part in equality or hashing
+    # the lazily built members and index take no part in equality or hashing
     fresh = symmetrize(bases, exponent)
     assert rs == fresh and hash(rs) == hash(fresh)
 
@@ -125,8 +136,7 @@ def test_appends_respect_the_cutoff(bases, exponent, data):
         fits = [r for r in naive if len(free_reduce(w + r)) <= cutoff]
         assert relators_of(buckets) == fits
         for k, bucket in buckets:
-            for move, key, inverse_prefixes in bucket:
-                r = move.relator
+            for r, key, inverse_prefixes in bucket:
                 assert key == order_key(r)
                 assert inverse_prefixes == tuple(order_key(invert(r[:j])) for j in range(len(r) + 1))
                 # the bucket's k is a cancellation every appended word in it
@@ -248,6 +258,15 @@ def test_verify_flags_non_member():
     assert rep.bad_relators == (0,)
 
 
+def test_verify_exponent_only_flags_non_powers():
+    # aaab is no square; aAaA is the square of aA, which is not cyclically reduced
+    for text in ("(aaab)", "(aAaA)"):
+        p = parse_proof(text)
+        rep = verify(p, flatten(p), exponent=2)
+        assert rep.flattens_to_target and rep.excision_trivial
+        assert rep.bad_relators == (0,) and not rep.valid
+
+
 def test_verify_needs_relator_rule():
     with pytest.raises(ValueError):
         verify(parse_proof("(aaaa)"), P("aaaa"))
@@ -319,6 +338,11 @@ def test_stats_rejects_non_power():
         stats(parse_proof("(aab)"), 4)
     with pytest.raises(ValueError):
         stats(parse_proof("(aaaA)"), 4)
+
+
+def test_stats_rejects_a_proof_without_relators():
+    with pytest.raises(ValueError, match="proof word has no relator segments"):
+        stats(parse_proof("ab"), 4)
 
 
 def test_round2_half_up():

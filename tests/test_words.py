@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given
@@ -201,6 +202,14 @@ def test_order_key_round_trip_order_and_inverse(ws):
         assert order_key(w)[::-1].translate(KEY_INVERSE) == order_key(invert(w))
     by_index = sorted(ws, key=lambda w: tuple(letter_index(x) for x in w))
     assert sorted(order_key(w) for w in ws) == [order_key(w) for w in by_index]
+
+
+def test_reduction_predicates_match_the_definition():
+    # every word of length up to 5 on a, A, b, B, against the letter-pair definition
+    for w in (w for n in range(6) for w in product((1, -1, 2, -2), repeat=n)):
+        reduced = all(x != -y for x, y in zip(w, w[1:]))
+        assert is_freely_reduced(w) == reduced
+        assert is_cyclically_reduced(w) == (reduced and (len(w) < 2 or w[0] != -w[-1]))
 
 
 @given(words)

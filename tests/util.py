@@ -10,8 +10,8 @@ from collections import deque
 
 from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, CosetTable, Presentation
-from powerproof.proofwords import Append, Conjugate, ProofWord, RelatorSet
-from powerproof.search import MoveLog, SearchConfig, apply_move
+from powerproof.proofwords import ProofWord, RelatorSet
+from powerproof.search import Append, Conjugate, MoveLog, SearchConfig, apply_move
 from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, rotations
 
 
