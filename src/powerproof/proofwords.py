@@ -40,13 +40,28 @@ from .words import (
 class RelatorSet:
     """Symmetrized set of e-th powers: closed under rotation and inversion.
 
-    Only the exponent and the bases are stored; the members and the append
-    index are derived from them on first use, so equality, hashing and
-    construction never touch them.
+    Only the exponent and the bases are stored.  Construction checks them
+    and stores the bases as the deduplicated canonical bracelet
+    representatives, shortest first and in bracelet order within a length,
+    so equal sets compare equal however their bases were written.  The
+    members and the append index are derived on first use, so equality,
+    hashing and construction never touch them.
     """
 
     exponent: int
     bases: tuple[Word, ...]
+
+    def __post_init__(self):
+        if self.exponent < 1:
+            raise ValueError(f"exponent must be positive, got {self.exponent}")
+        canon: set[Word] = set()
+        for base in self.bases:
+            if not base or not is_cyclically_reduced(base):
+                raise ValueError(
+                    f"relator bases must be non-empty and cyclically reduced, got {word_str(base)!r}"
+                )
+            canon.add(bracelet_canon(base))
+        object.__setattr__(self, "bases", tuple(sorted(canon, key=lambda w: (len(w), order_key(w)))))
 
     @cached_property
     def members(self) -> frozenset[Word]:
@@ -114,23 +129,9 @@ class RelatorSet:
 
 
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:
-    """Build the relator set generated by e-th powers of the given bases.
-
-    The bases are stored as the deduplicated canonical bracelet
-    representatives, shortest first and in bracelet order within a length;
-    the members, all rotations of w^e and of (w^-1)^e for each base w, follow
-    from them.
-    """
-    if exponent < 1:
-        raise ValueError(f"exponent must be positive, got {exponent}")
-    canon: set[Word] = set()
-    for base in bases:
-        if not base or not is_cyclically_reduced(base):
-            raise ValueError(
-                f"relator bases must be non-empty and cyclically reduced, got {word_str(base)!r}"
-            )
-        canon.add(bracelet_canon(base))
-    return RelatorSet(exponent, tuple(sorted(canon, key=lambda w: (len(w), order_key(w)))))
+    """The relator set generated by e-th powers of the given bases: all
+    rotations of w^e and of (w^-1)^e for each base w."""
+    return RelatorSet(exponent, tuple(bases))
 
 
 @dataclass(frozen=True)

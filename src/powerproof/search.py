@@ -115,7 +115,12 @@ def _beam_attempt(
     length is read from the end letters of its parent before it is built,
     and a child of Conjugate(h) never builds its Conjugate(-h) child, which
     is its parent.  moves_tried still counts every conjugation of every
-    state.
+    state.  The length cutoff of the first depth starts at four times the
+    start; each later depth starts it at the cutoff the depth before ended
+    with, and sweeps its nodes a second time, at four times the start, only
+    when fewer than beam_width candidates fit within that start.  The second
+    sweep builds only the longer words, in the order of a single sweep, and
+    adds nothing to moves_tried.
     """
     if start == ():
         return ()
@@ -132,6 +137,12 @@ def _beam_attempt(
     # A node is (word, parent, move, the conjugations it tries), the move
     # being its conjugation letter or its appended member.
     beam = [(start_key, None, None, conjugations)]
+    # Words longer than the cutoff are never built.  It falls only while at
+    # least `width` candidates are strictly shorter than it, so no word
+    # beyond it could be chosen, and every word that could is still found
+    # first from the same parent.  The first depth starts it at max_len,
+    # every later one at the cutoff the depth before ended with.
+    cutoff = max_len
     for _ in range(config.max_moves):
         # Each new word's parent, move and conjugations to try; nodes are
         # made for the chosen only.  Only this insertion-ordered dict is
@@ -139,60 +150,67 @@ def _beam_attempt(
         # keys would not be deterministic.
         candidates: dict[str, tuple] = {}
         by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
-        # Words longer than the cutoff are never built.  It falls only while
-        # at least `width` candidates are strictly shorter than it, so no
-        # word beyond it could be chosen, and every word that could is still
-        # found first from the same parent.
-        cutoff = max_len
         kept = 0  # candidates no longer than the cutoff
-        for node in beam:
-            w, _, _, tries = node
-            n = len(w)
-            head, tail = w[0], w[-1]
-            for g, g_inv, letter, onward in tries:
-                # The end letters give the child's length before it is built:
-                # g^-1 cancels a leading g, and g a trailing g^-1.  The cutoff
-                # can fall below n, so rotations are tested too.
-                if g == head:
-                    if g_inv == tail:
-                        if n - 2 > cutoff:
+        first_sweep = True
+        while True:
+            for node in beam:
+                w, _, _, tries = node
+                n = len(w)
+                head, tail = w[0], w[-1]
+                for g, g_inv, letter, onward in tries:
+                    # The end letters give the child's length before it is
+                    # built: g^-1 cancels a leading g, and g a trailing g^-1.
+                    # The cutoff can fall below n, so rotations are tested too.
+                    if g == head:
+                        if g_inv == tail:
+                            if n - 2 > cutoff:
+                                continue
+                            word = w[1:-1]
+                        elif n > cutoff:
                             continue
-                        word = w[1:-1]
-                    elif n > cutoff:
+                        else:
+                            word = w[1:] + g
+                    elif g_inv == tail:
+                        if n > cutoff:
+                            continue
+                        word = g_inv + w[:-1]
+                    elif n + 2 > cutoff:
                         continue
                     else:
-                        word = w[1:] + g
-                elif g_inv == tail:
-                    if n > cutoff:
-                        continue
-                    word = g_inv + w[:-1]
-                elif n + 2 > cutoff:
-                    continue
-                else:
-                    word = g_inv + w + g
-                if word not in visited and word not in candidates:
-                    candidates[word] = (node, letter, onward)
-                    by_length[len(word)].append(word)
-                    kept += 1
-            # The index counts the members the half rule offers and returns,
-            # in (length, key) order, just those whose appended word stays
-            # within the cutoff, bucketed with a cancellation they have
-            # already established; the exact one is counted up from there.
-            offered, buckets = relators.appends(w, cutoff)
-            result.moves_tried += len(conjugations) + offered
-            for least, bucket in buckets:
-                for member, key, inverse_prefixes in bucket:
-                    k, m = least, len(key)
-                    while k < m and w.endswith(inverse_prefixes[k + 1]):
-                        k += 1
-                    word = w[: n - k] + key[k:]
+                        word = g_inv + w + g
                     if word not in visited and word not in candidates:
-                        candidates[word] = (node, member, conjugations)
+                        candidates[word] = (node, letter, onward)
                         by_length[len(word)].append(word)
                         kept += 1
-            while kept - len(by_length[cutoff]) >= width:
-                kept -= len(by_length[cutoff])
-                cutoff -= 1
+                # The index counts the members the half rule offers and
+                # returns, in (length, key) order, just those whose appended
+                # word stays within the cutoff, bucketed with a cancellation
+                # they have already established; the exact one is counted up
+                # from there.
+                offered, buckets = relators.appends(w, cutoff)
+                if first_sweep:
+                    result.moves_tried += len(conjugations) + offered
+                for least, bucket in buckets:
+                    for member, key, inverse_prefixes in bucket:
+                        k, m = least, len(key)
+                        while k < m and w.endswith(inverse_prefixes[k + 1]):
+                            k += 1
+                        word = w[: n - k] + key[k:]
+                        if word not in visited and word not in candidates:
+                            candidates[word] = (node, member, conjugations)
+                            by_length[len(word)].append(word)
+                            kept += 1
+                while kept - len(by_length[cutoff]) >= width:
+                    kept -= len(by_length[cutoff])
+                    cutoff -= 1
+            # A sweep builds every word within its starting cutoff in the
+            # order of a sweep at max_len.  Fewer than `width` of them leave
+            # room for longer words, so the nodes are swept again at max_len;
+            # the words already built are skipped as candidates.
+            if kept >= width or cutoff == max_len:
+                break
+            cutoff = max_len
+            first_sweep = False
         if not candidates:
             return None
         if by_length[0]:
@@ -216,9 +234,13 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     The beam runs from the inverse of the target's cyclically reduced core.
     It is ordered by freely reduced word length, ties broken in the
     a < A < b < B letter order; a visited set prunes re-entered states.
-    Words longer than a per-depth cutoff are never built: it starts at four
-    times the core and falls while at least beam_width candidates are
-    strictly shorter, so no word beyond it could be chosen; the relator
+    Words longer than a per-depth cutoff are never built: it falls while at
+    least beam_width candidates are strictly shorter, so no word beyond it
+    could be chosen.  The first depth starts it at four times the core, and
+    each later depth at the cutoff the depth before ended with; a depth
+    whose nodes give fewer than beam_width candidates within that start is
+    swept again from four times the core, so the longer words it may choose
+    are still found first from the same parent.  The relator
     index is looked up at the cancellation the cutoff needs, so such appends
     are not even fetched, and a conjugation's length follows from whether
     its letter cancels the first or last letter of the word.  Conjugating a
@@ -312,15 +334,15 @@ def reduce_presentation(
     passes verification, so the presented group never changes.
     """
     survivors = list(relators)
-    for r in list(survivors):
-        others = [s for s in survivors if s != r]
-        if not others:
-            continue
-        bases = [power_base(s, exponent) for s in others]
-        active = symmetrize(bases, exponent)
-        result = search(r, active, config)
-        if result.found:
-            proof = reconstruct(result.log)
-            if verify(proof, r, relators=active).valid:
+    i = 0
+    while i < len(survivors):
+        # only this occurrence is left out, so an exact twin may prove it
+        r, others = survivors[i], survivors[:i] + survivors[i + 1 :]
+        if others:
+            active = symmetrize([power_base(s, exponent) for s in others], exponent)
+            result = search(r, active, config)
+            if result.found and verify(reconstruct(result.log), r, relators=active).valid:
                 survivors = others
+                continue
+        i += 1
     return survivors

@@ -48,6 +48,16 @@ def test_relator_set_stores_only_its_bases():
     # the members follow from the bases however they were chosen
     assert RelatorSet(4, (P("a"),)).members == {P("aaaa"), P("AAAA")}
     assert RelatorSet(2, (P("Ab"),)).members == symmetrize([P("bA")], 2).members
+    # construction canonicalises the bases, so equal sets compare equal
+    assert RelatorSet(2, (P("Ab"),)) == symmetrize([P("bA")], 2)
+    assert RelatorSet(4, (P("Baa"), P("AbA"))).bases == (P("aaB"),)
+
+
+def test_relator_set_validates_on_construction():
+    with pytest.raises(ValueError, match="non-empty and cyclically reduced, got 'aA'"):
+        RelatorSet(4, ((1, -1),))
+    with pytest.raises(ValueError, match="exponent must be positive, got 0"):
+        RelatorSet(0, (P("a"),))
 
 
 def test_symmetrize_closure():

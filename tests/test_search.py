@@ -256,6 +256,12 @@ def test_key_search_logs_hold_in_the_tuple_algebra(bases, exponent, factors):
 @example(bases=[(1,)], exponent=2, factors=[], extra=(2,), width=1, depth=2)
 # a rotation once the cutoff has fallen below the word's own length
 @example(bases=[(1, 1, -2)], exponent=2, factors=[((), 0), ((1,), 0)], extra=(), width=2, depth=2)
+# depth 1 keeps b at cutoff 1 and every child of b is longer: only the second
+# sweep, at four times the core, finds the candidates of depth 2
+@example(bases=[(2,)], exponent=2, factors=[], extra=(2,), width=1, depth=2)
+# a found log whose depths need the second sweep: without it the search
+# finds a different, shorter log
+@example(bases=[(2,)], exponent=4, factors=[((-1,), 0), ((1,), 15)], extra=(), width=4, depth=5)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the length cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
@@ -285,6 +291,11 @@ def test_search_config_rejects_out_of_range_values():
 def test_reduce_presentation_inverse_pair():
     out = reduce_presentation([P("aaaa"), P("AAAA")], 4, SMALL)
     assert out == [P("AAAA")]
+
+
+def test_reduce_presentation_drops_an_exact_duplicate():
+    out = reduce_presentation([P("aaaa"), P("aaaa"), P("bbbb")], 4, SMALL)
+    assert out == [P("aaaa"), P("bbbb")]
 
 
 def test_reduce_presentation_rotated_pair():
