@@ -73,15 +73,18 @@ class RelatorSet:
         return w in self.members
 
     @cached_property
-    def _append_levels(self) -> list[tuple[int, list[dict[str, list[tuple]]]]]:
-        """Per member length m, ascending: levels[k] for k from 0 to m maps
-        the key of the inverse of a k-letter prefix to the entries of the
-        members that start with that prefix, in key order.
+    def append_index(self) -> tuple[tuple[int, int, dict, list[dict]], ...]:
+        """One (m, h, levels[h], levels) per member length m, ascending, with
+        h = ceil(m/2) the cancellation the half rule asks of a member no
+        longer than the state.  levels[k] for k from 0 to m maps the key of
+        the inverse of a k-letter prefix to the entries of the members that
+        start with that prefix, in key order; levels[0][""] lists them all.
 
         Each member has one entry, (member, key, inverse prefixes), shared by
         its m + 1 levels; inverse_prefixes[j] is the key of the inverse of
         the member's first j letters, so a state cancels at least j letters
-        of the member exactly when it ends with that string.
+        of the member exactly when it ends with that string.  The search
+        applies the half rule and its length cutoff to this index.
         """
         by_length: dict[int, list[dict[str, list[tuple]]]] = {}
         for key, r in sorted((order_key(r), r) for r in self.members):
@@ -93,39 +96,11 @@ class RelatorSet:
             levels = by_length.setdefault(m, [{} for _ in range(m + 1)])
             for k, level in enumerate(levels):
                 level.setdefault(prefixes[k], []).append(entry)
-        return sorted(by_length.items())
-
-    def appends(self, s: str, cutoff: int) -> tuple[int, list[tuple[int, list[tuple]]]]:
-        """The members that may be appended to the state with key s without
-        the result exceeding cutoff letters, and how many the half rule
-        offers.
-
-        The half rule: a member r no longer than the state qualifies only if
-        appending it cancels at least h = ceil(len(r)/2) letters, that is
-        when s ends with the key of the inverse of r[:h]; members longer than
-        the state always qualify.  The offered count is the number of members
-        it admits.  Of those, the ones returned are those whose appended word
-        has at most cutoff letters, which needs a cancellation of
-        ceil((len(s) + len(r) - cutoff) / 2).  They come as (k, bucket)
-        pairs, one per member length, ascending: k is the larger of the two
-        bounds, so every member of the bucket is known to cancel at least k
-        letters, and the bucket lists them in key order.
-        """
-        n = len(s)
-        offered = 0
-        out: list[tuple[int, list[tuple]]] = []
-        for m, levels in self._append_levels:
-            half = (m + 1) // 2 if m <= n else 0
-            bucket = levels[half].get(s[n - half :])
-            if bucket is None:
-                continue
-            offered += len(bucket)
-            k = (n + m - cutoff + 1) // 2
-            if k <= half:
-                out.append((half, bucket))
-            elif k <= m and k <= n and (fits := levels[k].get(s[n - k :])):
-                out.append((k, fits))
-        return offered, out
+        index = []
+        for m, levels in sorted(by_length.items()):
+            h = (m + 1) // 2
+            index.append((m, h, levels[h], levels))
+        return tuple(index)
 
 
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:

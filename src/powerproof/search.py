@@ -115,17 +115,27 @@ def _beam_attempt(
     length is read from the end letters of its parent before it is built,
     and a child of Conjugate(h) never builds its Conjugate(-h) child, which
     is its parent.  moves_tried still counts every conjugation of every
-    state.  The length cutoff of the first depth starts at four times the
-    start; each later depth starts it at the cutoff the depth before ended
-    with, and sweeps its nodes a second time, at four times the start, only
-    when fewer than beam_width candidates fit within that start.  The second
-    sweep builds only the longer words, in the order of a single sweep, and
-    adds nothing to moves_tried.
+    state.  Appends follow the half rule: a member no longer than the state
+    is offered only if it cancels at least half of itself against the
+    state, and every longer member is offered; moves_tried counts every
+    offered member.  Of those, only the ones whose appended word is within
+    the length cutoff are built: the relator set's append index is read at
+    the level of the cancellation the cutoff needs, when that is more than
+    the half rule's.
+
+    Words longer than the cutoff could never be chosen.  The cutoff of the
+    first depth starts at four times the start; each later depth starts it
+    at the cutoff the depth before ended with, and sweeps its nodes a second
+    time, at four times the start, only when fewer than beam_width
+    candidates fit within that start.  The second sweep builds only the
+    longer words, in the order of a single sweep, and adds nothing to
+    moves_tried.
     """
     if start == ():
         return ()
     max_len = 4 * len(start)
     width = config.beam_width
+    index = relators.append_index
     # Conjugation by g maps w to g^-1 w g: (g, g^-1, letter, onward) with g
     # and g^-1 as keys.  onward lists the conjugations the child tries: all
     # but the one by g^-1, which would give back the parent, always visited.
@@ -143,11 +153,11 @@ def _beam_attempt(
     # first from the same parent.  The first depth starts it at max_len,
     # every later one at the cutoff the depth before ended with.
     cutoff = max_len
+    tried = result.moves_tried
     for _ in range(config.max_moves):
-        # Each new word's parent, move and conjugations to try; nodes are
-        # made for the chosen only.  Only this insertion-ordered dict is
-        # iterated: str hashes are salted per process, so iterating a set of
-        # keys would not be deterministic.
+        # Each new word's node, which joins the beam as it is if chosen.
+        # Only this insertion-ordered dict is iterated: str hashes are salted
+        # per process, so iterating a set of keys would not be deterministic.
         candidates: dict[str, tuple] = {}
         by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
         kept = 0  # candidates no longer than the cutoff
@@ -179,27 +189,45 @@ def _beam_attempt(
                     else:
                         word = g_inv + w + g
                     if word not in visited and word not in candidates:
-                        candidates[word] = (node, letter, onward)
+                        candidates[word] = (word, node, letter, onward)
                         by_length[len(word)].append(word)
                         kept += 1
-                # The index counts the members the half rule offers and
-                # returns, in (length, key) order, just those whose appended
-                # word stays within the cutoff, bucketed with a cancellation
-                # they have already established; the exact one is counted up
-                # from there.
-                offered, buckets = relators.appends(w, cutoff)
-                if first_sweep:
-                    result.moves_tried += len(conjugations) + offered
-                for least, bucket in buckets:
+                offered = 0
+                for m, h, half_level, levels in index:
+                    # The half rule's bucket: members of length m that
+                    # cancel at least h letters, or all of them when they
+                    # are longer than the state.
+                    if m > n:
+                        h = 0
+                        bucket = levels[0][""]
+                    else:
+                        bucket = half_level.get(w[n - h :])
+                        if bucket is None:
+                            continue
+                    offered += len(bucket)
+                    # Within the cutoff needs a cancellation of k letters;
+                    # above h only the members in the k-level bucket have it.
+                    k = (n + m - cutoff + 1) // 2
+                    if k > h:
+                        if k > m or k > n:
+                            continue
+                        bucket = levels[k].get(w[n - k :])
+                        if bucket is None:
+                            continue
+                    else:
+                        k = h
+                    # each member's exact cancellation is counted up from k
                     for member, key, inverse_prefixes in bucket:
-                        k, m = least, len(key)
-                        while k < m and w.endswith(inverse_prefixes[k + 1]):
-                            k += 1
-                        word = w[: n - k] + key[k:]
+                        j = k
+                        while j < m and w.endswith(inverse_prefixes[j + 1]):
+                            j += 1
+                        word = w[: n - j] + key[j:]
                         if word not in visited and word not in candidates:
-                            candidates[word] = (node, member, conjugations)
+                            candidates[word] = (word, node, member, conjugations)
                             by_length[len(word)].append(word)
                             kept += 1
+                if first_sweep:
+                    tried += len(conjugations) + offered
                 while kept - len(by_length[cutoff]) >= width:
                     kept -= len(by_length[cutoff])
                     cutoff -= 1
@@ -211,10 +239,12 @@ def _beam_attempt(
                 break
             cutoff = max_len
             first_sweep = False
+        # written once per depth, before any way out of the attempt
+        result.moves_tried = tried
         if not candidates:
             return None
         if by_length[0]:
-            return _moves_of(("", *candidates[""]))
+            return _moves_of(candidates[""])
         # Rank by (length, key): sort each length natively, shortest first,
         # until the beam is full.
         chosen: list[str] = []
@@ -222,7 +252,7 @@ def _beam_attempt(
             chosen += sorted(bucket)[: width - len(chosen)]
             if len(chosen) == width:
                 break
-        beam = [(word, *candidates[word]) for word in chosen]
+        beam = [candidates[word] for word in chosen]
         visited.update(chosen)
         result.states_visited += len(beam)
     return None
@@ -234,21 +264,11 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     The beam runs from the inverse of the target's cyclically reduced core.
     It is ordered by freely reduced word length, ties broken in the
     a < A < b < B letter order; a visited set prunes re-entered states.
-    Words longer than a per-depth cutoff are never built: it falls while at
-    least beam_width candidates are strictly shorter, so no word beyond it
-    could be chosen.  The first depth starts it at four times the core, and
-    each later depth at the cutoff the depth before ended with; a depth
-    whose nodes give fewer than beam_width candidates within that start is
-    swept again from four times the core, so the longer words it may choose
-    are still found first from the same parent.  The relator
-    index is looked up at the cancellation the cutoff needs, so such appends
-    are not even fetched, and a conjugation's length follows from whether
-    its letter cancels the first or last letter of the word.  Conjugating a
-    conjugation child by the inverse letter would give back its parent, so
-    that child is never built either; moves tried still counts every
-    conjugation of every state.  Restarts re-run the beam
-    over random base subsets, so they run only when base_subset_size is
-    smaller than the number of bases; they are deterministic for a fixed seed.
+    How a depth offers, counts and prunes its moves, and the length cutoff
+    beyond which it builds no word, is told in _beam_attempt.  Restarts
+    re-run the beam over random base subsets, so they run only when
+    base_subset_size is smaller than the number of bases; they are
+    deterministic for a fixed seed.
     A found log starts at the inverse of the target: one conjugation per
     letter of the inverse outer conjugator leads it to the inverted core,
     then the beam's moves follow.

@@ -32,7 +32,7 @@ from powerproof.words import (
     parse_word as P,
     rotations,
 )
-from util import bracelet_bases, naive_appendable, random_proof
+from util import bracelet_bases, random_proof
 
 
 def test_symmetrize_examples():
@@ -81,78 +81,52 @@ def test_symmetrize_dedupes_bases():
     assert len(rs.bases) == 1
 
 
-reduced_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=24).map(
-    lambda letters: free_reduce(tuple(letters))
-)
-base_words = reduced_words.map(lambda w: cyclic_reduce(w)[0]).filter(bool)
-
-
-def appendable(relators, w):
-    """The members RelatorSet.appends returns for w under a cutoff that no
-    appended word can reach, as tuples."""
-    cutoff = len(w) + max(map(len, relators.members))
-    return relators_of(relators.appends(order_key(w), cutoff)[1])
-
-
-def relators_of(buckets):
-    return [r for _, bucket in buckets for r, *_ in bucket]
-
-
-@given(st.lists(base_words, min_size=1, max_size=4), st.integers(2, 5), st.lists(reduced_words, max_size=8))
-def test_appendable_matches_naive_filter(bases, exponent, states):
-    rs = symmetrize(bases, exponent)
-    for w in states:
-        assert appendable(rs, w) == naive_appendable(rs, w)
-    # the lazily built members and index take no part in equality or hashing
-    fresh = symmetrize(bases, exponent)
-    assert rs == fresh and hash(rs) == hash(fresh)
-
-
-def test_appendable_examples():
-    rs = symmetrize([P("ab")], 2)  # abab, baba, BABA, ABAB
-    assert appendable(rs, ()) == [P("abab"), P("ABAB"), P("baba"), P("BABA")]
-    assert appendable(rs, P("BABABA")) == [P("abab")]
-    assert appendable(rs, P("aaaaa")) == []
-    # a state shorter than the members: all four are offered, but within
-    # 2 letters only abab fits (BA abab -> ab), and nothing fits in 1
-    offered, buckets = rs.appends(order_key(P("BA")), 2)
-    assert offered == 4 and relators_of(buckets) == [P("abab")]
-    assert [k for k, _ in buckets] == [2]
-    assert rs.appends(order_key(P("BA")), 1) == (4, [])
-    # the index holds one entry per member, shared by all its levels
-    entries = {id(e) for _, levels in rs._append_levels for level in levels for b in level.values() for e in b}
-    assert len(entries) == len(rs.members)
-
-
 small_bases = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6).map(
     lambda letters: cyclic_reduce(free_reduce(tuple(letters)))[0]
 ).filter(bool)
 
 
-@given(st.lists(small_bases, min_size=1, max_size=4), st.integers(1, 5), st.data())
-def test_appends_respect_the_cutoff(bases, exponent, data):
+@given(st.lists(small_bases, min_size=1, max_size=4), st.integers(1, 5))
+def test_append_index_files_one_entry_per_member_at_every_level(bases, exponent):
     rs = symmetrize(bases, exponent)
-    members = sorted(rs.members)
-    for _ in range(data.draw(st.integers(1, 8))):
-        # states that end in the inverse of a member's prefix, often shorter
-        # than the member, so that appends cancel and the cutoff bites
-        member = data.draw(st.sampled_from(members))
-        prefix = member[: data.draw(st.integers(0, len(member)))]
-        w = free_reduce(data.draw(reduced_words) + invert(prefix))
-        cutoff = data.draw(st.integers(-2, 40))
-        offered, buckets = rs.appends(order_key(w), cutoff)
-        naive = naive_appendable(rs, w)
-        assert offered == len(naive)
-        fits = [r for r in naive if len(free_reduce(w + r)) <= cutoff]
-        assert relators_of(buckets) == fits
-        for k, bucket in buckets:
-            for r, key, inverse_prefixes in bucket:
-                assert key == order_key(r)
-                assert inverse_prefixes == tuple(order_key(invert(r[:j])) for j in range(len(r) + 1))
-                # the bucket's k is a cancellation every appended word in it
-                # really has, and at least what the cutoff needs
-                assert order_key(w).endswith(inverse_prefixes[k])
-                assert 2 * k >= len(w) + len(r) - cutoff
+    members = sorted(rs.members, key=lambda r: (len(r), order_key(r)))
+    index = rs.append_index
+    assert [m for m, *_ in index] == sorted({len(r) for r in members})
+    entries = []
+    for m, h, half_level, levels in index:
+        assert h == (m + 1) // 2 and half_level is levels[h] and len(levels) == m + 1
+        # level 0 lists every member of length m, in key order
+        of_length = levels[0][""]
+        assert [r for r, *_ in of_length] == [r for r in members if len(r) == m]
+        for r, key, inverse_prefixes in of_length:
+            assert key == order_key(r)
+            assert inverse_prefixes == tuple(order_key(invert(r[:j])) for j in range(m + 1))
+        # every level files the same entry objects, each under the key of the
+        # inverse of its k-letter prefix, in key order
+        for k, level in enumerate(levels):
+            filed = [e for bucket in level.values() for e in bucket]
+            assert sorted(map(id, filed)) == sorted(map(id, of_length))
+            for prefix, bucket in level.items():
+                assert all(e[2][k] == prefix for e in bucket)
+                assert [e[1] for e in bucket] == sorted(e[1] for e in bucket)
+        entries += of_length
+    assert len(entries) == len(rs.members)
+    # the lazily built members and index take no part in equality or hashing
+    fresh = symmetrize(bases, exponent)
+    assert rs == fresh and hash(rs) == hash(fresh)
+
+
+def test_append_index_example():
+    rs = symmetrize([P("ab")], 2)  # abab, baba, BABA, ABAB
+    ((m, h, half_level, levels),) = rs.append_index
+    assert (m, h) == (4, 2)
+    assert [r for r, *_ in levels[0][""]] == [P("abab"), P("ABAB"), P("baba"), P("BABA")]
+    # a state ending in BA cancels at least half of abab, and only of abab
+    assert [r for r, *_ in half_level[order_key(P("BA"))]] == [P("abab")]
+    assert [r for r, *_ in levels[3][order_key(P("BAB"))]] == [P("baba")]
+    # the index holds one entry per member, shared by all its levels
+    entries = {id(e) for level in levels for bucket in level.values() for e in bucket}
+    assert len(entries) == len(rs.members)
 
 
 def test_parse_proof_example():

@@ -2,7 +2,7 @@ import importlib
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from powerproof.engel import engel_word
@@ -30,7 +30,7 @@ from powerproof.words import (
     power,
     word_str,
 )
-from util import bracelet_bases, random_proof, random_reduced_word, reference_search
+from util import bracelet_bases, naive_appendable, random_proof, random_reduced_word, reference_search
 
 
 SMALL = SearchConfig(beam_width=500, max_moves=16)
@@ -243,12 +243,47 @@ def test_key_search_logs_hold_in_the_tuple_algebra(bases, exponent, factors):
         assert replay(decompile(proof)) == ()
 
 
+# three generators, so that a target may use a letter no relator has
+short_words3 = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=6).map(
+    lambda letters: free_reduce(tuple(letters))
+)
+short_bases3 = short_words3.map(lambda w: cyclic_reduce(w)[0]).filter(bool)
+
+
+def _depth_one(w, rs):
+    """The first depth of a search from the state w, the beam wide open."""
+    return search(invert(w), rs, SearchConfig(beam_width=10**6, max_moves=1))
+
+
+@settings(deadline=None)
+@given(st.lists(short_bases3, min_size=1, max_size=4), st.integers(1, 5), st.data())
+def test_one_depth_tries_every_conjugation_and_the_half_rule_appends(bases, exponent, data):
+    rs = symmetrize(bases, exponent)
+    # a state that ends in the inverse of a member's prefix, often shorter
+    # than the member, so that the half rule both admits and refuses
+    member = data.draw(st.sampled_from(sorted(rs.members)))
+    prefix = member[: data.draw(st.integers(0, len(member)))]
+    w = cyclic_reduce(free_reduce(data.draw(short_words3) + invert(prefix)))[0]
+    assume(w)
+    used = {abs(x) for r in rs.members for x in r} | {abs(x) for x in w}
+    assert _depth_one(w, rs).moves_tried == 2 * len(used) + len(naive_appendable(rs, w))
+
+
+def test_one_depth_half_rule_examples():
+    rs = symmetrize([P("ab")], 2)  # abab, baba, BABA, ABAB; letters a, A, b, B
+    assert naive_appendable(rs, P("BABABA")) == [P("abab")]
+    assert _depth_one(P("BABABA"), rs).moves_tried == 4 + 1
+    assert _depth_one(P("aaaaa"), rs).moves_tried == 4 + 0
+    # members longer than the state are all offered
+    assert _depth_one(P("BA"), rs).moves_tried == 4 + 4
+
+
 @settings(deadline=None)
 @given(
-    st.lists(short_words.map(lambda w: cyclic_reduce(w)[0]).filter(bool), min_size=1, max_size=3),
-    st.integers(2, 4),
-    st.lists(st.tuples(short_words, st.integers(0, 10**6)), max_size=3),
-    st.one_of(st.just(()), short_words),
+    st.lists(short_bases3, min_size=1, max_size=3),
+    st.integers(1, 5),
+    st.lists(st.tuples(short_words3, st.integers(0, 10**6)), max_size=3),
+    st.one_of(st.just(()), short_words3),
     st.integers(1, 8),
     st.integers(1, 12),
 )
@@ -262,6 +297,18 @@ def test_key_search_logs_hold_in_the_tuple_algebra(bases, exponent, factors):
 # a found log whose depths need the second sweep: without it the search
 # finds a different, shorter log
 @example(bases=[(2,)], exponent=4, factors=[((-1,), 0), ((1,), 15)], extra=(), width=4, depth=5)
+# members longer than the state: within the cutoff, 3 once the conjugation
+# BAb is built, only A aaaa = aaa fits, found at its 1-letter cancellation level
+@example(bases=[(1,)], exponent=4, factors=[], extra=(1,), width=1, depth=1)
+# a cutoff that asks more than the half rule: an append found only at the
+# level of the cancellation the cutoff needs
+@example(bases=[(1,), (2,)], exponent=2, factors=[], extra=(-1, -1, 3), width=2, depth=7)
+# a cutoff so far below a state that no member could fit: the cancellation it
+# needs is longer than the member, so that level is never looked up
+@example(bases=[(1,)], exponent=1, factors=[], extra=(2, 2), width=3, depth=3)
+# the beam runs out of new words at depth 3; the moves that depth tried
+# still count
+@example(bases=[(1,)], exponent=2, factors=[], extra=(1,), width=1, depth=3)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the length cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
