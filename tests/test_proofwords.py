@@ -32,7 +32,7 @@ from powerproof.words import (
     parse_word as P,
     rotations,
 )
-from util import bracelet_bases, random_proof
+from util import bracelet_bases, naive_appendable, random_proof
 
 
 def test_symmetrize_examples():
@@ -127,6 +127,42 @@ def test_append_index_example():
     # the index holds one entry per member, shared by all its levels
     entries = {id(e) for level in levels for bucket in level.values() for e in bucket}
     assert len(entries) == len(rs.members)
+
+
+reduced_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=24).map(
+    lambda letters: free_reduce(tuple(letters))
+)
+
+
+@given(st.lists(small_bases, min_size=1, max_size=4), st.integers(1, 5), st.data())
+def test_appends_respect_the_cutoff(bases, exponent, data):
+    """For a state and a length cutoff, the index bucket at the larger of the
+    half rule's cancellation and the cutoff's lists exactly the members the
+    half rule offers whose appended word fits within the cutoff."""
+    rs = symmetrize(bases, exponent)
+    members = sorted(rs.members)
+    for _ in range(data.draw(st.integers(1, 8))):
+        # states that end in the inverse of a member's prefix, often shorter
+        # than the member, so that appends cancel and the cutoff bites
+        member = data.draw(st.sampled_from(members))
+        prefix = member[: data.draw(st.integers(0, len(member)))]
+        w = free_reduce(data.draw(reduced_words) + invert(prefix))
+        cutoff = data.draw(st.integers(-2, 40))
+        s, n = order_key(w), len(w)
+        naive = naive_appendable(rs, w)
+        for m, h, half_level, levels in rs.append_index:
+            offered = [r for r in naive if len(r) == m]
+            fits = [r for r in offered if len(free_reduce(w + r)) <= cutoff]
+            half = h if m <= n else 0
+            assert [r for r, *_ in levels[half].get(s[n - half :], [])] == offered
+            k = max(half, (n + m - cutoff + 1) // 2)
+            bucket = levels[k].get(s[n - k :], []) if k <= min(m, n) else []
+            assert [r for r, *_ in bucket] == fits
+            for r, key, inverse_prefixes in bucket:
+                # k is a cancellation every appended word in the bucket
+                # really has, and at least what the cutoff needs
+                assert s.endswith(inverse_prefixes[k])
+                assert 2 * k >= n + m - cutoff
 
 
 def test_parse_proof_example():
