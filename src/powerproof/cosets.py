@@ -6,12 +6,11 @@ coincidences are resolved with a union-find over coset numbers.  When the
 enumeration completes, the live cosets carry a full action of the generators
 and their count is the order of the presented group.
 
-The table is stored by column, one list per letter, and each relator keeps
-the columns it walks.  Most scans are complete forward walks that define
-nothing; ``_Enumerator.run`` takes those inline and hands only a walk that
-meets a gap to ``scan_and_fill``.  Both paths visit cosets and relators in
-the same HLT order, so the definitions, the count of cosets defined and the
-compacted table are those of a row-per-coset enumerator.
+The table is stored by column, one list per letter, padded so that a gap
+absorbs a walk: ``_Enumerator.run`` walks each relator with no test per letter
+and hands only a walk that ended in a gap to ``scan_and_fill``.  Both paths
+visit cosets and relators in the same HLT order, so the definitions, the count
+of cosets defined and the compacted table are those of a row-per-coset table.
 """
 
 from __future__ import annotations
@@ -87,15 +86,15 @@ class _Enumerator:
     """The enumeration state, stored by column: ``cols[k][c]`` is the image
     of coset c under the letter of index k, or UNDEF.
 
-    Each relator is kept as its letter indices plus two tuples of the column
-    lists themselves: ``fwd[i]`` is the column of letter i and ``inv[i]`` the
-    column of its inverse, which the backward scan walks from the end.  The
-    tuples alias the growing columns, so they never need rebuilding.
+    Every slot from ``len(parent)`` on is UNDEF, the last one included, so
+    ``column[UNDEF]`` is UNDEF and a walk that meets a gap ends at UNDEF.  A
+    definition that would take the last slot doubles every column in place:
+    a relator's ``fwd[i]`` (column of its letter i) and ``inv[i]`` (column of
+    that letter's inverse) alias the columns, so none is ever rebound.
     """
 
     def __init__(self, pres: Presentation, max_cosets: int):
-        self.ncols = 2 * pres.alphabet.rank
-        self.cols: list[list[int]] = [[UNDEF] for _ in range(self.ncols)]
+        self.cols: list[list[int]] = [[UNDEF, UNDEF] for _ in range(2 * pres.alphabet.rank)]
         self.relators = []
         for r in pres.relators:
             idx = tuple(letter_index(x) for x in r)
@@ -103,27 +102,24 @@ class _Enumerator:
         self.max_cosets = max_cosets
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
         self.coincidences = 0  # cosets merged away, so len(parent) - coincidences are live
-        self.live_peak = 1
+        self.live_peak = 1  # taken where the live count stops rising: entering coincidence, ending run
 
     def rep(self, c: int) -> int:
-        r = c
         parent = self.parent
-        while parent[r] != r:
-            r = parent[r]
-        while parent[c] != r:
-            parent[c], c = r, parent[c]
-        return r
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]  # path halving
+        return c
 
     def define(self, c: int, col: int) -> int:
         d = len(self.parent)
         if d >= self.max_cosets:
             raise _Overflow
-        for column in self.cols:
-            column.append(UNDEF)
+        if d == len(self.cols[0]) - 1:  # keep the last slot UNDEF
+            for column in self.cols:
+                column.extend([UNDEF] * len(column))
         self.parent.append(d)
         self.cols[col][c] = d
         self.cols[col ^ 1][d] = c
-        self.live_peak = max(self.live_peak, d + 1 - self.coincidences)
         return d
 
     def merge(self, a: int, b: int, queue: deque[int]):
@@ -136,13 +132,14 @@ class _Enumerator:
             queue.append(b)
 
     def coincidence(self, a: int, b: int):
+        self.live_peak = max(self.live_peak, len(self.parent) - self.coincidences)
         cols = self.cols
         queue: deque[int] = deque()
         self.merge(a, b, queue)
         while queue:
             dead = queue.popleft()
-            for col in range(self.ncols):
-                column, inverse = cols[col], cols[col ^ 1]
+            for col, column in enumerate(cols):
+                inverse = cols[col ^ 1]
                 d = column[dead]
                 if d == UNDEF:
                     continue
@@ -183,27 +180,28 @@ class _Enumerator:
     def run(self) -> None:
         parent, cols = self.parent, self.cols
         c = 0
-        while c < len(parent):
-            if parent[c] == c:
-                for idx, fwd, inv in self.relators:
-                    # a complete walk fills nothing; only a gap needs the full scan
-                    f = c
-                    for column in fwd:
-                        f = column[f]
-                        if f < 0:  # UNDEF, the only negative entry
-                            self.scan_and_fill(c, idx, fwd, inv)
-                            break
-                    else:
-                        if f == c:
-                            continue
-                        self.coincidence(f, c)
-                    if parent[c] != c:
-                        break
+        try:
+            while c < len(parent):
                 if parent[c] == c:
-                    for col, column in enumerate(cols):
-                        if column[c] == UNDEF:
-                            self.define(c, col)
-            c += 1
+                    for idx, fwd, inv in self.relators:
+                        # a gap absorbs the walk, so only its end is tested
+                        f = c
+                        for column in fwd:
+                            f = column[f]
+                        if f != c:
+                            if f < 0:  # UNDEF, the only negative entry
+                                self.scan_and_fill(c, idx, fwd, inv)
+                            else:
+                                self.coincidence(f, c)
+                            if parent[c] != c:
+                                break
+                    if parent[c] == c:
+                        for col, column in enumerate(cols):
+                            if column[c] == UNDEF:
+                                self.define(c, col)
+                c += 1
+        finally:
+            self.live_peak = max(self.live_peak, len(parent) - self.coincidences)
 
 
 class _Overflow(Exception):
@@ -224,9 +222,11 @@ def enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) -> CosetTa
     except _Overflow:
         order, rows = None, []
     else:
-        # compact live cosets to 0..n-1
+        # compact live cosets to 0..n-1; no live entry names a dead coset
         live = [c for c, p in enumerate(enum.parent) if p == c]
-        index = {c: i for i, c in enumerate(live)}
+        index = [UNDEF] * len(enum.parent)
+        for i, c in enumerate(live):
+            index[c] = i
         order = len(live)
-        rows = [[index[enum.rep(column[c])] for column in enum.cols] for c in live]
+        rows = [[index[column[c]] for column in enum.cols] for c in live]
     return CosetTable(order, len(enum.parent), rows, enum.coincidences, enum.live_peak)

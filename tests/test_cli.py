@@ -331,8 +331,9 @@ def test_order_without_relators_fails_at_once(tmp_path, capsys, text):
 def test_order_overflow(tmp_path, capsys):
     rels = tmp_path / "rels.w"
     rels.write_text("aa\n")
-    code, out, _ = run(capsys, "order", "--relators", str(rels), "--max-cosets", "100")
+    code, out, err = run(capsys, "order", "--relators", str(rels), "--max-cosets", "100")
     assert code == 1 and out.strip() == "OVERFLOW"
+    assert err.strip() == "cosets defined 100, live peak 100, coincidences 0"
 
 
 def test_usage_error_exit_code(capsys):

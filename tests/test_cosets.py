@@ -3,11 +3,11 @@ from functools import lru_cache
 from itertools import permutations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerproof.bracelets import enumerate_reduced_bracelets
-from powerproof.cosets import Presentation, enumerate_cosets
+from powerproof.cosets import UNDEF, Presentation, _Enumerator, _Overflow, enumerate_cosets
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import distinct_presentation
 from powerproof.words import AB, Alphabet, parse_word as P, power
@@ -115,12 +115,15 @@ def test_table_is_a_permutation_action():
             assert table.rows[d][col ^ 1] == c
 
 
-def test_overflow_is_a_value():
-    table = enumerate_cosets(pres("aa"), max_cosets=500)
+@pytest.mark.parametrize("max_cosets", [1, 2, 3, 4, 5, 8, 9, 500])
+def test_overflow_is_a_value(max_cosets):
+    # the limits cross the points where the columns double
+    table = enumerate_cosets(pres("aa"), max_cosets=max_cosets)
     assert table.overflowed
     assert table.order is None
-    # define raises exactly when the table reaches the limit
-    assert table.cosets_defined == 500
+    # define raises exactly when the table reaches the limit; <a, b | aa> is
+    # infinite and HLT merges nothing, so every coset defined is live
+    assert (table.cosets_defined, table.live_peak, table.coincidences) == (max_cosets, max_cosets, 0)
 
 
 def test_malformed_relators_rejected():
@@ -167,13 +170,33 @@ def presentations(draw):
 @given(presentations(), st.sampled_from([50, 300, 2000]))
 def test_enumeration_matches_the_reference_enumerator(pres, max_cosets):
     # the definition order is the algorithm: complete and overflowed tables
-    # alike must agree coset for coset
+    # alike must agree coset for coset, and on the merges and the live peak
     table = enumerate_cosets(pres, max_cosets)
     ref = reference_enumerate_cosets(pres, max_cosets)
-    assert (table.order, table.cosets_defined, table.rows) == (ref.order, ref.cosets_defined, ref.rows)
+    assert table == ref
     if not table.overflowed:
         assert table.coincidences == table.cosets_defined - table.order
         assert table.order <= table.live_peak <= table.cosets_defined
+
+
+@settings(deadline=None)
+@given(presentations(), st.sampled_from([1, 2, 3, 50, 300, 2000]))
+@example(pres("aaa", "bbb", "abab"), 2000)
+@example(pres("aa"), 9)
+def test_padded_columns_absorb_gaps_and_name_no_dead_coset(pres, max_cosets):
+    # after a complete or an overflowed run: every slot past the last coset
+    # is UNDEF, so column[UNDEF] is too, and no entry of a live coset names
+    # a dead one, which lets the compaction skip the find
+    enum = _Enumerator(pres, max_cosets)
+    try:
+        enum.run()
+    except _Overflow:
+        pass
+    n = len(enum.parent)
+    live = [c for c, p in enumerate(enum.parent) if p == c]
+    for column in enum.cols:
+        assert len(column) > n and set(column[n:]) == {UNDEF}
+        assert all(column[c] == UNDEF or enum.parent[column[c]] == column[c] for c in live)
 
 
 @lru_cache(maxsize=None)
@@ -209,6 +232,8 @@ def test_enumerator_counters():
     table = canonical_table(8192)
     assert table.coincidences == table.cosets_defined - table.order == 16_886
     assert table.order <= table.live_peak == 9_187 <= table.cosets_defined
+    bracelets = canonical_table(4096)
+    assert (bracelets.cosets_defined, bracelets.live_peak, bracelets.coincidences) == (11_851, 5_912, 7_755)
     small = enumerate_cosets(pres("aaa", "bbb", "abab"))
     assert small.coincidences == small.cosets_defined - small.order
     assert small.order <= small.live_peak <= small.cosets_defined

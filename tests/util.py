@@ -97,6 +97,8 @@ class _RowMajorEnumerator:
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.ncols]
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
+        self.coincidences = 0
+        self.live_peak = 1
 
     def rep(self, c: int) -> int:
         r = c
@@ -115,6 +117,7 @@ class _RowMajorEnumerator:
         self.parent.append(d)
         self.table[c][col] = d
         self.table[d][col ^ 1] = c
+        self.live_peak = max(self.live_peak, len(self.table) - self.coincidences)
         return d
 
     def merge(self, a: int, b: int, queue: deque[int]):
@@ -123,6 +126,7 @@ class _RowMajorEnumerator:
             if a > b:
                 a, b = b, a
             self.parent[b] = a
+            self.coincidences += 1
             queue.append(b)
 
     def coincidence(self, a: int, b: int):
@@ -191,8 +195,9 @@ class _Overflow(Exception):
 
 def reference_enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) -> CosetTable:
     """HLT enumeration on a row-major table, one row list per coset, every
-    relator scanned by ``scan_and_fill``: the reference that the library's
-    column-major enumerator must match coset for coset.
+    relator scanned by ``scan_and_fill``, the live count checked after every
+    definition: the reference that the library's column-major enumerator
+    must match coset for coset and counter for counter.
 
     Returns the group order on success; an overflow result (order None) when
     more than ``max_cosets`` cosets would need to be defined.
@@ -203,7 +208,9 @@ def reference_enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) 
     try:
         enum.run()
     except _Overflow:
-        return CosetTable(order=None, cosets_defined=len(enum.table))
+        return CosetTable(
+            order=None, cosets_defined=len(enum.table), coincidences=enum.coincidences, live_peak=enum.live_peak
+        )
     # compact live cosets to 0..n-1
     index = {}
     for c in range(len(enum.table)):
@@ -213,7 +220,13 @@ def reference_enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) 
         [index[enum.rep(enum.table[c][col])] for col in range(enum.ncols)]
         for c in index
     ]
-    return CosetTable(order=len(index), cosets_defined=len(enum.table), rows=rows)
+    return CosetTable(
+        order=len(index),
+        cosets_defined=len(enum.table),
+        rows=rows,
+        coincidences=enum.coincidences,
+        live_peak=enum.live_peak,
+    )
 
 
 def random_letters(rng: random.Random, length: int, rank: int = 2) -> Word:
