@@ -11,8 +11,9 @@ representative is not a proper power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import eq
 
-from .words import KEY_INVERSE, LETTERS, Alphabet, Word, is_cyclically_reduced, key_word, order_key, word_str
+from .words import KEY_INVERSE, LETTERS, Alphabet, Word, key_word, order_key, word_str
 
 
 @dataclass(frozen=True)
@@ -22,23 +23,42 @@ class BraceletClass:
     canonical: Word
 
 
+class _RotationSlices(dict):
+    """Length n -> the n slices ``k:k + n`` that cut the rotations of an
+    n-letter word out of its doubled key, made on first use of each length."""
+
+    def __missing__(self, n: int) -> tuple[slice, ...]:
+        slices = self[n] = tuple(slice(k, k + n) for k in range(n))
+        return slices
+
+
+_ROTATIONS = _RotationSlices()
+
+
 def bracelet_canon(w: Word) -> Word:
-    """Canonical representative of the class of w.
+    """Canonical representative of the class of w, as a tuple.
 
     Works on order keys: with ``s`` the key of w and ``u`` the key of its
-    letterwise inverse, the rotations of w are the length-n slices of s + s
-    and those of its inverse the length-n slices of reversed u + u, and the
-    least of them all is the representative.
+    letterwise inverse, w is cyclically reduced when no ``u[i]`` equals
+    ``s[i + 1]`` (cyclically), the rotations of w are the length-n slices
+    of s + s and those of its inverse the length-n slices of reversed u + u.
+    The least slice of each is found by cutting with the n slices cached
+    for length n, without building a list of rotations, and the lesser of
+    the two is the representative.  When that is s itself, as for every
+    class the enumerator lists, w is returned as a tuple without decoding
+    the key.
     """
     if not w:
         raise ValueError("the empty word has no bracelet class")
     s = order_key(w)
-    if not is_cyclically_reduced(w):
-        raise ValueError(f"bracelet_canon requires a cyclically reduced word, got {word_str(w)!r}")
     u = s.translate(KEY_INVERSE)
-    n = len(s)
-    ss, tt = s + s, (u + u)[::-1]
-    return key_word(min([ss[k : k + n] for k in range(n)] + [tt[k : k + n] for k in range(n)]))
+    ss = s + s
+    if any(map(eq, u, ss[1:])):
+        raise ValueError(f"bracelet_canon requires a cyclically reduced word, got {word_str(w)!r}")
+    slices = _ROTATIONS[len(s)]
+    tt = (u + u)[::-1]
+    least = min(min(map(ss.__getitem__, slices)), min(map(tt.__getitem__, slices)))
+    return tuple(w) if least == s else key_word(least)
 
 
 def is_proper_power(w: Word) -> bool:

@@ -15,7 +15,7 @@ from typing import Iterable
 
 from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from .cosets import Presentation, enumerate_cosets
-from .engel import engel_word
+from .engel import MAX_ENGEL, engel_word
 from .proofwords import (
     fold,
     parse_proof,
@@ -184,6 +184,7 @@ def _int_in(low: int, high: int | None = None):
 
 
 _positive_int = _int_in(1)
+_engel_index = _int_in(1, MAX_ENGEL)
 _rank = _int_in(1, 26)
 
 
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("engel", help="print the n-th Engel word on (a, b)")
-    p.add_argument("--n", type=_positive_int, required=True)
+    p.add_argument("--n", type=_engel_index, required=True)
     p.add_argument("--cyclic", action="store_true", help="print the cyclically reduced core")
     p.set_defaults(func=_cmd_engel)
 
@@ -217,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_target(p):
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--target", help="file holding the target word")
-        g.add_argument("--engel", type=_positive_int, help="use the n-th Engel word as target")
+        g.add_argument("--engel", type=_engel_index, help="use the n-th Engel word as target")
 
     def add_bases(p, with_lyndon: bool):
         g = p.add_mutually_exclusive_group()

@@ -2,7 +2,7 @@ import random
 from itertools import groupby, product
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powerproof import bracelets
@@ -12,6 +12,7 @@ from powerproof.bracelets import (
     enumerate_reduced_bracelets,
     is_proper_power,
 )
+from powerproof.proofwords import symmetrize
 from powerproof.words import (
     AB,
     Alphabet,
@@ -67,9 +68,25 @@ def cyclically_reduced_words(draw, max_rank=26, max_length=12):
 
 
 @given(cyclically_reduced_words())
+@example(P("aabAB"))  # already canonical: the word comes back as it is
+@example(P("abABa"))  # a rotation of it
+@example(P("bAA"))  # a rotation of the inverse, aaB, is least
+@example(P("aBAb"))  # its own least rotation, but the inverse's abAB beats it
+@example(P("abab"))  # a proper power: rotations repeat
+@example(P("a"))
+@example(P("B"))
 def test_canon_matches_tuple_oracle(w):
     assert is_cyclically_reduced(w)
     assert bracelet_canon(w) == bracelet_canon_oracle(w)
+
+
+def test_canon_returns_a_tuple_for_a_list():
+    # a canonical word comes back without being decoded, but as a tuple, so
+    # relator sets built from lists can still hash their bases
+    for w in ([1, 2], [2], [1, 2, -1, -2], [-2, -1, -1]):
+        canon = bracelet_canon(w)
+        assert type(canon) is tuple and canon == bracelet_canon_oracle(tuple(w))
+    assert symmetrize([[1, 2], [2]], 4) == symmetrize([P("ab"), P("b")], 4)
 
 
 def test_canon_rejects_bad_input():
