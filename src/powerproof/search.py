@@ -100,6 +100,32 @@ def _moves_of(node: tuple) -> tuple[Move, ...]:
     return tuple(reversed(moves))
 
 
+# How many of a state's last letters key the half rule's memo: on the E5
+# search 6 ran about 10 % faster than 4 or 8.
+_TAIL = 6
+
+
+class _HalfRuleMemo(dict):
+    """memo[w[memo.tail], min(len(w), memo.longest)]: the append index entries
+    that can offer members to the state w, in index order, made on first use.
+    They are those whose members are longer than w, or whose half level holds
+    w's last h letters if h <= _TAIL, or a key ending in w's last _TAIL
+    letters if h is longer; any other entry has no bucket for w."""
+
+    def __init__(self, index: tuple):
+        self.index = index
+        self.tail = slice(-_TAIL, None)
+        self.longest = index[-1][0] if index else 0
+        self.tails = {m: {key[self.tail] for key in level} for m, h, level, _ in index if h > _TAIL}
+
+    def __missing__(self, near: tuple[str, int]) -> list:
+        t, n = near  # each entry e is (m, h, levels[h], levels)
+        kept = self[near] = [
+            e for e in self.index if e[0] > n or (t[-e[1] :] in e[2] if e[1] <= _TAIL else t in self.tails[e[0]])
+        ]
+        return kept
+
+
 def _beam_attempt(
     start: Word,
     relators: RelatorSet,
@@ -118,10 +144,12 @@ def _beam_attempt(
     state.  Appends follow the half rule: a member no longer than the state
     is offered only if it cancels at least half of itself against the
     state, and every longer member is offered; moves_tried counts every
-    offered member.  Of those, only the ones whose appended word is within
-    the length cutoff are built: the relator set's append index is read at
-    the level of the cancellation the cutoff needs, when that is more than
-    the half rule's.
+    offered member.  Only the member lengths _HalfRuleMemo keeps are
+    looked up; the others find no bucket, so nothing offered changes.  Of
+    those members, only the ones whose appended word is within the length
+    cutoff are built: the relator set's append index is read at the level
+    of the cancellation the cutoff needs, when that is more than the half
+    rule's.
 
     Words longer than the cutoff could never be chosen.  The cutoff of the
     first depth starts at four times the start; each later depth starts it
@@ -135,7 +163,8 @@ def _beam_attempt(
         return ()
     max_len = 4 * len(start)
     width = config.beam_width
-    index = relators.append_index
+    half_rule = _HalfRuleMemo(relators.append_index)
+    tail_of, longest = half_rule.tail, half_rule.longest
     # Conjugation by g maps w to g^-1 w g: (g, g^-1, letter, onward) with g
     # and g^-1 as keys.  onward lists the conjugations the child tries: all
     # but the one by g^-1, which would give back the parent, always visited.
@@ -193,7 +222,7 @@ def _beam_attempt(
                         by_length[len(word)].append(word)
                         kept += 1
                 offered = 0
-                for m, h, half_level, levels in index:
+                for m, h, half_level, levels in half_rule[w[tail_of], n if n < longest else longest]:
                     # The half rule's bucket: members of length m that
                     # cancel at least h letters, or all of them when they
                     # are longer than the state.

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from powerproof.bracelets import enumerate_reduced_bracelets
+from powerproof.bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, Presentation, _Enumerator, _Overflow, enumerate_cosets
+from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import distinct_presentation
 from powerproof.words import AB, Alphabet, parse_word as P, power
@@ -244,6 +245,23 @@ def test_enumerator_counters():
     small = enumerate_cosets(pres("aaa", "bbb", "abab"))
     assert small.coincidences == small.cosets_defined - small.order
     assert small.order <= small.live_peak <= small.cosets_defined
+
+
+def test_the_lyndon_4_table_certifies_e5_without_a_proof():
+    # The fourth powers of the 17 Lyndon words up to length 4 present a group
+    # of order 4096.  B(2,4) is a quotient of it and has that order, so the
+    # table is the regular action of B(2,4): a word is trivial there exactly
+    # when it fixes a coset, and then it fixes every coset.
+    relators = [power(c.canonical, 4) for n in range(1, 5) for c in enumerate_lyndon(AB, n)]
+    table = enumerate_cosets(Presentation(AB, tuple(relators)))
+    assert (len(relators), table.order, table.cosets_defined) == (17, 4096, 11_851)
+    cosets = range(table.order)
+    # a permutation action in which every relator holds: a complete table
+    assert all(sorted(column) == list(cosets) for column in zip(*table.rows))
+    assert all(table.trace(c, r) == c for r in relators for c in cosets)
+    e5, e4 = engel_word(5), engel_word(4)
+    assert all(table.trace(c, e5) == c for c in cosets)
+    assert not any(table.trace(c, e4) == c for c in cosets)
 
 
 def test_trace_rejects_an_incomplete_table():

@@ -13,6 +13,7 @@ from powerproof.search import (
     Conjugate,
     MoveLog,
     SearchConfig,
+    _HalfRuleMemo,
     apply_move,
     decompile,
     reconstruct,
@@ -26,6 +27,7 @@ from powerproof.words import (
     cyclic_reduce,
     free_reduce,
     invert,
+    order_key,
     parse_word as P,
     power,
     word_str,
@@ -278,6 +280,48 @@ def test_one_depth_half_rule_examples():
     assert _depth_one(P("BA"), rs).moves_tried == 4 + 4
 
 
+def _half_rule_buckets(entries, w):
+    """(m, bucket) for each append index entry that offers members to the
+    state key w: its half level's bucket, or all its members when they are
+    longer than w."""
+    n = len(w)
+    out = []
+    for m, h, half_level, levels in entries:
+        bucket = levels[0][""] if m > n else half_level.get(w[n - h :])
+        if bucket is not None:
+            out.append((m, bucket))
+    return out
+
+
+@settings(deadline=None)
+@given(st.lists(short_bases3, min_size=1, max_size=3), st.integers(1, 5), st.randoms(use_true_random=False))
+# m = 15, h = 8: a half level longer than the tail
+@example(bases=[(1, 1, 2)], exponent=5, rnd=random.Random(0))
+# m = 12, h = 6: a half level exactly as long as the tail
+@example(bases=[(1, 2, 3), (1,)], exponent=4, rnd=random.Random(1))
+def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
+    rs = symmetrize(bases, exponent)
+    index = rs.append_index
+    memo = _HalfRuleMemo(index)  # one memo for all the states, as in an attempt
+    members = sorted(rs.members)
+    letters = [x for g in (1, 2, 3) for x in (g, -g)]
+    # three states of each length up to past the longest member, in a random
+    # order; each ends in the inverse of a member's prefix, so that buckets
+    # of every level are hit
+    lengths = list(range(1, index[-1][0] + 4)) * 3
+    rnd.shuffle(lengths)
+    for n in lengths:
+        member = rnd.choice(members)
+        w = list(invert(member[: rnd.randint(0, len(member))]))
+        while len(w) < n:
+            w.insert(0, rnd.choice([x for x in letters if not w or x != -w[0]]))
+        state = tuple(w[len(w) - n :])
+        key = order_key(state)
+        kept = _half_rule_buckets(memo[key[memo.tail], min(n, memo.longest)], key)
+        assert kept == _half_rule_buckets(index, key)
+        assert sum(len(b) for _, b in kept) == len(naive_appendable(rs, state))
+
+
 @settings(deadline=None)
 @given(
     st.lists(short_bases3, min_size=1, max_size=3),
@@ -309,6 +353,11 @@ def test_one_depth_half_rule_examples():
 # the beam runs out of new words at depth 3; the moves that depth tried
 # still count
 @example(bases=[(1,)], exponent=2, factors=[], extra=(1,), width=1, depth=3)
+# members of length 15 whose half level, 8 letters, is longer than the memo's
+# tail, appended to states at least 15 letters long
+@example(bases=[(1, 1, 2)], exponent=5, factors=[((2,), 0), ((-1,), 7)], extra=(), width=4, depth=8)
+# a start shorter than the memo's tail, below the members' length 8
+@example(bases=[(1, 2)], exponent=4, factors=[], extra=(1, 2, 1), width=2, depth=4)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the length cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
