@@ -1,5 +1,9 @@
 """Toolkit for proving words trivial in finitely presented groups by writing
-them as products of conjugated power relators."""
+them as products of conjugated power relators.
+
+``powerproof.search`` is the function; the module is
+``importlib.import_module("powerproof.search")``.
+"""
 
 from .bracelets import (
     BraceletClass,
@@ -26,8 +30,6 @@ from .proofwords import (
     verify,
 )
 from .search import (
-    Append,
-    Conjugate,
     MoveLog,
     SearchConfig,
     SearchResult,

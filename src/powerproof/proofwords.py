@@ -54,13 +54,7 @@ class RelatorSet:
     def __post_init__(self):
         if self.exponent < 1:
             raise ValueError(f"exponent must be positive, got {self.exponent}")
-        canon: set[Word] = set()
-        for base in self.bases:
-            if not base or not is_cyclically_reduced(base):
-                raise ValueError(
-                    f"relator bases must be non-empty and cyclically reduced, got {word_str(base)!r}"
-                )
-            canon.add(bracelet_canon(base))
+        canon = {bracelet_canon(base) for base in self.bases}
         object.__setattr__(self, "bases", tuple(sorted(canon, key=lambda w: (len(w), order_key(w)))))
 
     @cached_property
@@ -73,18 +67,16 @@ class RelatorSet:
         return w in self.members
 
     @cached_property
-    def append_index(self) -> tuple[tuple[int, int, dict, list[dict]], ...]:
-        """One (m, h, levels[h], levels) per member length m, ascending, with
-        h = ceil(m/2) the cancellation the half rule asks of a member no
-        longer than the state.  levels[k] for k from 0 to m maps the key of
-        the inverse of a k-letter prefix to the entries of the members that
+    def append_index(self) -> tuple[list[dict], ...]:
+        """One levels list per member length m, ascending, so that
+        m = len(levels) - 1.  levels[k] for k from 0 to m maps the key of the
+        inverse of a k-letter prefix to the entries of the members that
         start with that prefix, in key order; levels[0][""] lists them all.
 
         Each member has one entry, (member, key, inverse prefixes), shared by
         its m + 1 levels; inverse_prefixes[j] is the key of the inverse of
         the member's first j letters, so a state cancels at least j letters
-        of the member exactly when it ends with that string.  The search
-        applies the half rule and its length cutoff to this index.
+        of the member exactly when it ends with that string.
         """
         by_length: dict[int, list[dict[str, list[tuple]]]] = {}
         for key, r in sorted((order_key(r), r) for r in self.members):
@@ -96,11 +88,7 @@ class RelatorSet:
             levels = by_length.setdefault(m, [{} for _ in range(m + 1)])
             for k, level in enumerate(levels):
                 level.setdefault(prefixes[k], []).append(entry)
-        index = []
-        for m, levels in sorted(by_length.items()):
-            h = (m + 1) // 2
-            index.append((m, h, levels[h], levels))
-        return tuple(index)
+        return tuple(levels for _, levels in sorted(by_length.items()))
 
 
 def symmetrize(bases: Iterable[Word], exponent: int) -> RelatorSet:

@@ -18,21 +18,9 @@ from .proofwords import ProofWord, RelatorSet, flatten, fold, power_base, symmet
 from .words import LETTERS, Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, order_key, word_str
 
 
-@dataclass(frozen=True)
-class Conjugate:
-    """Conjugation by one signed generator letter: w -> g^-1 w g."""
-
-    letter: int
-
-
-@dataclass(frozen=True)
-class Append:
-    """Right-multiplication by a relator: w -> w r."""
-
-    relator: Word
-
-
-Move = Conjugate | Append
+# A move is a signed generator letter g, conjugation w -> g^-1 w g, or a
+# relator word r, right-multiplication w -> w r.
+Move = int | Word
 
 
 @dataclass(frozen=True)
@@ -44,9 +32,9 @@ class MoveLog:
 
 
 def apply_move(w: Word, move: Move) -> Word:
-    if isinstance(move, Conjugate):
-        return conjugate(w, (move.letter,))
-    return free_reduce(w + move.relator)
+    if isinstance(move, int):
+        return conjugate(w, (move,))
+    return free_reduce(w + move)
 
 
 def replay(log: MoveLog) -> Word:
@@ -90,12 +78,10 @@ class SearchResult:
 
 
 def _moves_of(node: tuple) -> tuple[Move, ...]:
-    """The moves from the start to node; a node's move is a conjugation
-    letter (an int) or an appended member (a word)."""
+    """The moves from the start to node."""
     moves = []
     while node[2] is not None:
-        m = node[2]
-        moves.append(Conjugate(m) if isinstance(m, int) else Append(m))
+        moves.append(node[2])
         node = node[1]
     return tuple(reversed(moves))
 
@@ -106,17 +92,25 @@ _TAIL = 6
 
 
 class _HalfRuleMemo(dict):
-    """memo[w[memo.tail], min(len(w), memo.longest)]: the append index entries
-    that can offer members to the state w, in index order, made on first use.
+    """memo[w[memo.tail], min(len(w), memo.longest)]: the entries of
+    memo.index that can offer members to the state w, in index order, made
+    on first use.
     They are those whose members are longer than w, or whose half level holds
     w's last h letters if h <= _TAIL, or a key ending in w's last _TAIL
     letters if h is longer; any other entry has no bucket for w."""
 
-    def __init__(self, index: tuple):
-        self.index = index
+    def __init__(self, append_index: tuple[list[dict], ...]):
+        # one entry (m, h, levels[h], levels) per member length m, where
+        # h = ceil(m/2) is the cancellation the half rule asks of a member
+        # no longer than the state
+        self.index = []
+        for levels in append_index:
+            m = len(levels) - 1
+            h = (m + 1) // 2
+            self.index.append((m, h, levels[h], levels))
         self.tail = slice(-_TAIL, None)
-        self.longest = index[-1][0] if index else 0
-        self.tails = {m: {key[self.tail] for key in level} for m, h, level, _ in index if h > _TAIL}
+        self.longest = self.index[-1][0] if self.index else 0
+        self.tails = {m: {key[self.tail] for key in level} for m, h, level, _ in self.index if h > _TAIL}
 
     def __missing__(self, near: tuple[str, int]) -> list:
         t, n = near  # each entry e is (m, h, levels[h], levels)
@@ -139,9 +133,9 @@ def _beam_attempt(
     States are order keys (see words.order_key): they hash once, slice in
     C, and rank in the a < A < b < B letter order.  A conjugation child's
     length is read from the end letters of its parent before it is built,
-    and a child of Conjugate(h) never builds its Conjugate(-h) child, which
-    is its parent.  moves_tried still counts every conjugation of every
-    state.  Appends follow the half rule: a member no longer than the state
+    and a child of the conjugation by g never builds its conjugation by
+    g^-1, which is its parent.  moves_tried still counts every conjugation
+    of every state.  Appends follow the half rule: a member no longer than the state
     is offered only if it cancels at least half of itself against the
     state, and every longer member is offered; moves_tried counts every
     offered member.  Only the member lengths _HalfRuleMemo keeps are
@@ -307,7 +301,6 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     if not is_freely_reduced(target):
         raise ValueError(f"search target must be freely reduced, got {word_str(target)!r}")
     core, outer = cyclic_reduce(target)
-    lead = tuple(Conjugate(g) for g in invert(outer))
     start = invert(core)
     used = {abs(x) for b in relators.bases for x in b} | {abs(x) for x in core}
     letters = [x for x in LETTERS if abs(x) in used]
@@ -323,7 +316,7 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
         result.restarts_used = attempt
         moves = _beam_attempt(start, active, letters, config, result)
         if moves is not None:
-            result.log = MoveLog(invert(target), lead + moves)
+            result.log = MoveLog(invert(target), invert(outer) + moves)
             break
     result.elapsed = time.perf_counter() - t0
     return result
@@ -345,12 +338,12 @@ def reconstruct(log: MoveLog) -> ProofWord:
     run: list[int] = []
     before_last: list[int] = []
     for move in log.moves:
-        if isinstance(move, Conjugate):
-            run.append(move.letter)
+        if isinstance(move, int):
+            run.append(move)
         else:
             conjs.append(free_reduce(tuple(run)))
             before_last.extend(run)
-            rels.append(move.relator)
+            rels.append(move)
             run = []
     if rels:
         conjs.append(free_reduce(invert(tuple(before_last))))
@@ -365,8 +358,8 @@ def decompile(p: ProofWord) -> MoveLog:
     start = invert(flatten(p))
     moves: list[Move] = []
     for c, r in zip(p.conjugators, p.relators):
-        moves.extend(Conjugate(x) for x in c)
-        moves.append(Append(r))
+        moves.extend(c)
+        moves.append(r)
     log = MoveLog(start, tuple(moves))
     if replay(log) != ():
         raise ValueError("proof word does not replay to the empty word (excision is non-trivial)")

@@ -23,7 +23,7 @@ from powerproof.proofwords import (
     symmetrize,
     verify,
 )
-from powerproof.search import Append, SearchConfig, decompile, reconstruct, replay, search
+from powerproof.search import SearchConfig, decompile, reconstruct, replay, search
 from powerproof.words import (
     AB,
     cyclic_reduce,
@@ -117,7 +117,7 @@ def test_criterion_06_search_exponent_2():
     result = search(P("ABab"), rs)
     elapsed = time.perf_counter() - t0
     assert result.found and elapsed < 10
-    appends = [m for m in result.log.moves if isinstance(m, Append)]
+    appends = [m for m in result.log.moves if isinstance(m, tuple)]
     assert len(appends) <= 3
     proof = reconstruct(result.log)
     assert verify(proof, P("ABab"), relators=rs).valid

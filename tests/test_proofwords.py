@@ -54,8 +54,10 @@ def test_relator_set_stores_only_its_bases():
 
 
 def test_relator_set_validates_on_construction():
-    with pytest.raises(ValueError, match="non-empty and cyclically reduced, got 'aA'"):
+    with pytest.raises(ValueError, match="requires a cyclically reduced word, got 'aA'"):
         RelatorSet(4, ((1, -1),))
+    with pytest.raises(ValueError, match="the empty word has no bracelet class"):
+        RelatorSet(4, (P("a"), ()))
     with pytest.raises(ValueError, match="exponent must be positive, got 0"):
         RelatorSet(0, (P("a"),))
 
@@ -91,10 +93,11 @@ def test_append_index_files_one_entry_per_member_at_every_level(bases, exponent)
     rs = symmetrize(bases, exponent)
     members = sorted(rs.members, key=lambda r: (len(r), order_key(r)))
     index = rs.append_index
-    assert [m for m, *_ in index] == sorted({len(r) for r in members})
+    # one levels list per member length m, ascending, holding levels 0 to m
+    assert [len(levels) - 1 for levels in index] == sorted({len(r) for r in members})
     entries = []
-    for m, h, half_level, levels in index:
-        assert h == (m + 1) // 2 and half_level is levels[h] and len(levels) == m + 1
+    for levels in index:
+        m = len(levels) - 1
         # level 0 lists every member of length m, in key order
         of_length = levels[0][""]
         assert [r for r, *_ in of_length] == [r for r in members if len(r) == m]
@@ -118,11 +121,11 @@ def test_append_index_files_one_entry_per_member_at_every_level(bases, exponent)
 
 def test_append_index_example():
     rs = symmetrize([P("ab")], 2)  # abab, baba, BABA, ABAB
-    ((m, h, half_level, levels),) = rs.append_index
-    assert (m, h) == (4, 2)
+    (levels,) = rs.append_index
+    assert len(levels) == 4 + 1
     assert [r for r, *_ in levels[0][""]] == [P("abab"), P("ABAB"), P("baba"), P("BABA")]
     # a state ending in BA cancels at least half of abab, and only of abab
-    assert [r for r, *_ in half_level[order_key(P("BA"))]] == [P("abab")]
+    assert [r for r, *_ in levels[2][order_key(P("BA"))]] == [P("abab")]
     assert [r for r, *_ in levels[3][order_key(P("BAB"))]] == [P("baba")]
     # the index holds one entry per member, shared by all its levels
     entries = {id(e) for level in levels for bucket in level.values() for e in bucket}
@@ -150,7 +153,9 @@ def test_appends_respect_the_cutoff(bases, exponent, data):
         cutoff = data.draw(st.integers(-2, 40))
         s, n = order_key(w), len(w)
         naive = naive_appendable(rs, w)
-        for m, h, half_level, levels in rs.append_index:
+        for levels in rs.append_index:
+            m = len(levels) - 1
+            h = (m + 1) // 2  # the half rule's cancellation, ceil(m/2)
             offered = [r for r in naive if len(r) == m]
             fits = [r for r in offered if len(free_reduce(w + r)) <= cutoff]
             half = h if m <= n else 0

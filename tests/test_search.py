@@ -9,8 +9,6 @@ from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import flatten, fold, parse_proof, symmetrize, verify
 from powerproof.search import (
-    Append,
-    Conjugate,
     MoveLog,
     SearchConfig,
     _HalfRuleMemo,
@@ -39,10 +37,10 @@ SMALL = SearchConfig(beam_width=500, max_moves=16)
 
 
 def test_apply_move_examples():
-    assert apply_move(P("ab"), Conjugate(1)) == P("ba")
-    assert apply_move(P("AAAA"), Append(P("aaaa"))) == ()
-    assert apply_move((), Append(P("abab"))) == P("abab")
-    assert apply_move((), Conjugate(2)) == ()
+    assert apply_move(P("ab"), 1) == P("ba")
+    assert apply_move(P("AAAA"), P("aaaa")) == ()
+    assert apply_move((), P("abab")) == P("abab")
+    assert apply_move((), 2) == ()
 
 
 def test_apply_move_matches_definition():
@@ -50,13 +48,13 @@ def test_apply_move_matches_definition():
     for _ in range(300):
         w = random_reduced_word(rng, rng.randrange(12))
         g = rng.choice([1, -1, 2, -2])
-        assert apply_move(w, Conjugate(g)) == conjugate(w, (g,))
+        assert apply_move(w, g) == conjugate(w, (g,))
         r = random_reduced_word(rng, rng.randrange(1, 9))
-        assert apply_move(w, Append(r)) == free_reduce(w + r)
+        assert apply_move(w, r) == free_reduce(w + r)
 
 
 def test_replay():
-    log = MoveLog(P("AAAA"), (Append(P("aaaa")),))
+    log = MoveLog(P("AAAA"), (P("aaaa"),))
     assert replay(log) == ()
 
 
@@ -64,7 +62,7 @@ def test_search_single_append():
     rs = symmetrize([P("a")], 4)
     result = search(P("aaaa"), rs, SMALL)
     assert result.found
-    assert list(result.log.moves) == [Append(P("aaaa"))]
+    assert list(result.log.moves) == [P("aaaa")]
 
 
 def test_search_commutator_of_squares():
@@ -74,7 +72,7 @@ def test_search_commutator_of_squares():
     rs = symmetrize(bracelet_bases(3), 2)
     result = search(P("ABab"), rs, SearchConfig(beam_width=1000, max_moves=32))
     assert result.found
-    appends = [m for m in result.log.moves if isinstance(m, Append)]
+    appends = [m for m in result.log.moves if isinstance(m, tuple)]
     assert len(appends) <= 3
     proof = reconstruct(result.log)
     assert verify(proof, P("ABab"), relators=rs).valid
@@ -145,7 +143,7 @@ def _all_reduced(n):
 
 
 def test_reconstruct_trivial():
-    log = MoveLog(P("AAAA"), (Append(P("aaaa")),))
+    log = MoveLog(P("AAAA"), (P("aaaa"),))
     proof = reconstruct(log)
     assert proof.relators == (P("aaaa"),)
     assert flatten(proof) == P("aaaa")
@@ -159,7 +157,7 @@ def test_reconstruct_with_outer_conjugator():
     assert result.found
     # the log starts at the inverted target; conjugation by B leads it to the inverted core
     assert result.log.start == invert(target)
-    assert result.log.moves[0] == Conjugate(-2)
+    assert result.log.moves[0] == -2
     assert replay(MoveLog(result.log.start, result.log.moves[:1])) == invert(P("aa"))
     proof = reconstruct(result.log)
     assert flatten(proof) == free_reduce(target)
@@ -167,14 +165,14 @@ def test_reconstruct_with_outer_conjugator():
 
 
 def test_reconstruct_rejects_incomplete_log():
-    log = MoveLog(P("AAAA"), (Conjugate(1),))
+    log = MoveLog(P("AAAA"), (1,))
     with pytest.raises(ValueError):
         reconstruct(log)
 
 
 def test_decompile_examples():
     log = decompile(parse_proof("(aaaa)"))
-    assert list(log.moves) == [Append(P("aaaa"))]
+    assert list(log.moves) == [P("aaaa")]
     assert replay(log) == ()
 
 
@@ -281,9 +279,9 @@ def test_one_depth_half_rule_examples():
 
 
 def _half_rule_buckets(entries, w):
-    """(m, bucket) for each append index entry that offers members to the
-    state key w: its half level's bucket, or all its members when they are
-    longer than w."""
+    """(m, bucket) for each of the half rule memo's entries that offers
+    members to the state key w: its half level's bucket, or all its members
+    when they are longer than w."""
     n = len(w)
     out = []
     for m, h, half_level, levels in entries:
@@ -291,6 +289,21 @@ def _half_rule_buckets(entries, w):
         if bucket is not None:
             out.append((m, bucket))
     return out
+
+
+@given(st.lists(short_bases3, min_size=1, max_size=4), st.integers(1, 5))
+def test_half_rule_memo_derives_the_half_level_of_each_length(bases, exponent):
+    append_index = symmetrize(bases, exponent).append_index
+    index = _HalfRuleMemo(append_index).index
+    assert len(index) == len(append_index)
+    for (m, h, half_level, levels), own in zip(index, append_index):
+        assert levels is own and m == len(levels) - 1
+        assert h == (m + 1) // 2 and half_level is levels[h]
+
+
+def test_half_rule_memo_example():
+    (levels,) = symmetrize([P("ab")], 2).append_index  # abab, baba, BABA, ABAB
+    assert _HalfRuleMemo((levels,)).index == [(4, 2, levels[2], levels)]
 
 
 @settings(deadline=None)
@@ -301,8 +314,8 @@ def _half_rule_buckets(entries, w):
 @example(bases=[(1, 2, 3), (1,)], exponent=4, rnd=random.Random(1))
 def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
     rs = symmetrize(bases, exponent)
-    index = rs.append_index
-    memo = _HalfRuleMemo(index)  # one memo for all the states, as in an attempt
+    memo = _HalfRuleMemo(rs.append_index)  # one memo for all the states, as in an attempt
+    index = memo.index
     members = sorted(rs.members)
     letters = [x for g in (1, 2, 3) for x in (g, -g)]
     # three states of each length up to past the longest member, in a random

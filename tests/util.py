@@ -11,7 +11,7 @@ from collections import deque
 from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, CosetTable, Presentation
 from powerproof.proofwords import ProofWord, RelatorSet
-from powerproof.search import Append, Conjugate, MoveLog, SearchConfig, apply_move
+from powerproof.search import MoveLog, SearchConfig, apply_move
 from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, rotations
 
 
@@ -61,12 +61,12 @@ def reference_search(
     key), words longer than four times the core dropped.
     """
     core, outer = cyclic_reduce(target)
-    lead = tuple(Conjugate(g) for g in invert(outer))
+    lead = invert(outer)
     start = invert(core)
     if start == ():
         return MoveLog(invert(target), lead), 0, 0
     letters = sorted({abs(x) for r in relators.members for x in r} | {abs(x) for x in core})
-    conjugations = [Conjugate(s * g) for g in letters for s in (1, -1)]
+    conjugations = [s * g for g in letters for s in (1, -1)]
     max_len = 4 * len(start)
     visited = {start}
     beam: list[tuple[Word, tuple]] = [(start, ())]
@@ -74,7 +74,7 @@ def reference_search(
     for _ in range(config.max_moves):
         candidates: dict[Word, tuple] = {}
         for w, path in beam:
-            offered = conjugations + [Append(r) for r in naive_appendable(relators, w)]
+            offered = conjugations + naive_appendable(relators, w)
             moves_tried += len(offered)
             for move in offered:
                 u = apply_move(w, move)
