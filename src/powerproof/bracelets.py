@@ -54,7 +54,7 @@ def bracelet_canon(w: Word) -> Word:
     u = s.translate(KEY_INVERSE)
     ss = s + s
     if any(map(eq, u, ss[1:])):
-        raise ValueError(f"bracelet_canon requires a cyclically reduced word, got {word_str(w)!r}")
+        raise ValueError(f"{word_str(w)!r} is not cyclically reduced, so it has no bracelet class")
     slices = _ROTATIONS[len(s)]
     tt = (u + u)[::-1]
     least = min(min(map(ss.__getitem__, slices)), min(map(tt.__getitem__, slices)))

@@ -14,7 +14,7 @@ import sys
 from typing import Iterable
 
 from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
-from .cosets import Presentation, enumerate_cosets
+from .cosets import MAX_COSETS, Presentation, enumerate_cosets
 from .engel import MAX_ENGEL, engel_word
 from .proofwords import (
     fold,
@@ -255,17 +255,18 @@ def build_parser() -> argparse.ArgumentParser:
     add_rank(p)
     p.add_argument("--exponent", type=_positive_int, required=True)
     add_bases(p, with_lyndon=True)
-    p.add_argument("--beam", type=_positive_int, default=1000)
-    p.add_argument("--max-moves", type=_positive_int, default=256)
-    p.add_argument("--restarts", type=_int_in(0), default=0)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--base-subset", type=_positive_int, default=None)
+    defaults = SearchConfig()
+    p.add_argument("--beam", type=_positive_int, default=defaults.beam_width)
+    p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves)
+    p.add_argument("--restarts", type=_int_in(0), default=defaults.restarts)
+    p.add_argument("--seed", type=int, default=defaults.seed)
+    p.add_argument("--base-subset", type=_positive_int, default=defaults.base_subset_size)
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("order", help="group order by coset enumeration")
     p.add_argument("--relators", required=True, help="file of relators, one per line")
     add_rank(p)
-    p.add_argument("--max-cosets", type=_positive_int, default=2_000_000)
+    p.add_argument("--max-cosets", type=_positive_int, default=MAX_COSETS)
     p.set_defaults(func=_cmd_order)
 
     return parser

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from .words import Alphabet, Word, is_freely_reduced, letter_index, word_str
 
 UNDEF = -1
+# the default bound on cosets defined, for callers and the CLI alike
+MAX_COSETS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,7 @@ class _Overflow(Exception):
     pass
 
 
-def enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) -> CosetTable:
+def enumerate_cosets(pres: Presentation, max_cosets: int = MAX_COSETS) -> CosetTable:
     """Enumerate cosets of the trivial subgroup.
 
     Returns the group order on success; an overflow result (order None) when

@@ -147,11 +147,10 @@ def _beam_attempt(
 
     Words longer than the cutoff could never be chosen.  The cutoff of the
     first depth starts at four times the start; each later depth starts it
-    at the cutoff the depth before ended with, and sweeps its nodes a second
-    time, at four times the start, only when fewer than beam_width
-    candidates fit within that start.  The second sweep builds only the
-    longer words, in the order of a single sweep, and adds nothing to
-    moves_tried.
+    at the cutoff the depth before ended with.  A depth whose start admits
+    fewer than beam_width candidates starts over at four times the start,
+    from no candidates and the depth's starting moves_tried, so it ends as
+    a single sweep from there would.
     """
     if start == ():
         return ()
@@ -176,16 +175,17 @@ def _beam_attempt(
     # first from the same parent.  The first depth starts it at max_len,
     # every later one at the cutoff the depth before ended with.
     cutoff = max_len
-    tried = result.moves_tried
     for _ in range(config.max_moves):
-        # Each new word's node, which joins the beam as it is if chosen.
-        # Only this insertion-ordered dict is iterated: str hashes are salted
-        # per process, so iterating a set of keys would not be deterministic.
-        candidates: dict[str, tuple] = {}
-        by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
-        kept = 0  # candidates no longer than the cutoff
-        first_sweep = True
         while True:
+            # Each new word's node, which joins the beam as it is if chosen.
+            # Only this insertion-ordered dict is iterated: str hashes are
+            # salted per process, so iterating a set of keys would not be
+            # deterministic.
+            candidates: dict[str, tuple] = {}
+            by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
+            kept = 0  # candidates no longer than the cutoff
+            # every state counts every conjugation, built or not
+            tried = result.moves_tried + len(beam) * len(conjugations)
             for node in beam:
                 w, _, _, tries = node
                 n = len(w)
@@ -215,7 +215,6 @@ def _beam_attempt(
                         candidates[word] = (word, node, letter, onward)
                         by_length[len(word)].append(word)
                         kept += 1
-                offered = 0
                 for m, h, half_level, levels in half_rule[w[tail_of], n if n < longest else longest]:
                     # The half rule's bucket: members of length m that
                     # cancel at least h letters, or all of them when they
@@ -227,7 +226,7 @@ def _beam_attempt(
                         bucket = half_level.get(w[n - h :])
                         if bucket is None:
                             continue
-                    offered += len(bucket)
+                    tried += len(bucket)
                     # Within the cutoff needs a cancellation of k letters;
                     # above h only the members in the k-level bucket have it.
                     k = (n + m - cutoff + 1) // 2
@@ -249,19 +248,14 @@ def _beam_attempt(
                             candidates[word] = (word, node, member, conjugations)
                             by_length[len(word)].append(word)
                             kept += 1
-                if first_sweep:
-                    tried += len(conjugations) + offered
                 while kept - len(by_length[cutoff]) >= width:
                     kept -= len(by_length[cutoff])
                     cutoff -= 1
-            # A sweep builds every word within its starting cutoff in the
-            # order of a sweep at max_len.  Fewer than `width` of them leave
-            # room for longer words, so the nodes are swept again at max_len;
-            # the words already built are skipped as candidates.
+            # Fewer than `width` words within the carried start leave room
+            # for longer ones, so the depth starts over at max_len.
             if kept >= width or cutoff == max_len:
                 break
             cutoff = max_len
-            first_sweep = False
         # written once per depth, before any way out of the attempt
         result.moves_tried = tried
         if not candidates:
@@ -345,10 +339,7 @@ def reconstruct(log: MoveLog) -> ProofWord:
             before_last.extend(run)
             rels.append(move)
             run = []
-    if rels:
-        conjs.append(free_reduce(invert(tuple(before_last))))
-    else:
-        conjs = [()]
+    conjs.append(free_reduce(invert(tuple(before_last))))
     return fold(ProofWord(tuple(conjs), tuple(rels)))
 
 

@@ -356,6 +356,11 @@ def test_domain_error_exit_code(tmp_path, capsys):
     bad.write_text("a((bb))\n")
     code, _, err = run(capsys, "stats", "--proof", str(bad))
     assert code == 1 and "error:" in err
+    # a base that is not cyclically reduced is named, not the internal check
+    bases = tmp_path / "bases.w"
+    bases.write_text("abA\n")
+    code, _, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--bases", str(bases))
+    assert code == 1 and "'abA'" in err and "bracelet_canon" not in err
 
 
 def test_parse_errors_name_line_and_column(tmp_path, capsys):

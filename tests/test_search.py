@@ -348,11 +348,11 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 @example(bases=[(1,)], exponent=2, factors=[], extra=(2,), width=1, depth=2)
 # a rotation once the cutoff has fallen below the word's own length
 @example(bases=[(1, 1, -2)], exponent=2, factors=[((), 0), ((1,), 0)], extra=(), width=2, depth=2)
-# depth 1 keeps b at cutoff 1 and every child of b is longer: only the second
-# sweep, at four times the core, finds the candidates of depth 2
+# depth 1 keeps b at cutoff 1 and every child of b is longer: only starting
+# depth 2 over, at four times the core, finds its candidates
 @example(bases=[(2,)], exponent=2, factors=[], extra=(2,), width=1, depth=2)
-# a found log whose depths need the second sweep: without it the search
-# finds a different, shorter log
+# a found log whose depths start over: without that the search finds a
+# different, shorter log
 @example(bases=[(2,)], exponent=4, factors=[((-1,), 0), ((1,), 15)], extra=(), width=4, depth=5)
 # members longer than the state: within the cutoff, 3 once the conjugation
 # BAb is built, only A aaaa = aaa fits, found at its 1-letter cancellation level
