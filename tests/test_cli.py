@@ -361,6 +361,15 @@ def test_domain_error_exit_code(tmp_path, capsys):
     bases.write_text("abA\n")
     code, _, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--bases", str(bases))
     assert code == 1 and "'abA'" in err and "bracelet_canon" not in err
+    # a bases file with no words is an error, not a search over no relators
+    empty = tmp_path / "empty.w"
+    empty.write_text("# no bases\n\n")
+    code, out, err = run(capsys, "search", "--engel", "1", "--exponent", "4", "--bases", str(empty))
+    assert (code, out, err) == (1, "", f"error: {empty} holds no bases\n")
+    proof = tmp_path / "e1.pf"
+    proof.write_text("a(bbbb)A\n")
+    code, out, err = run(capsys, "verify", "--proof", str(proof), "--engel", "1", "--exponent", "4", "--bases", str(empty))
+    assert (code, out, err) == (1, "", f"error: {empty} holds no bases\n")
 
 
 def test_parse_errors_name_line_and_column(tmp_path, capsys):

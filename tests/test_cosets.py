@@ -176,6 +176,10 @@ def presentations(draw):
 
 @settings(deadline=None)
 @given(presentations(), st.sampled_from([50, 300, 2000]))
+# order 2 from 10 cosets: 8 coincidences, whose deductions take both
+# branches of the coincidence loop (the representative's own entry is
+# defined, or only the image's inverse entry is) and queue further merges
+@example(pres("aaa", "bbbb", "abab", "abAB"), 2000)
 def test_enumeration_matches_the_reference_enumerator(pres, max_cosets):
     # the definition order is the algorithm: complete and overflowed tables
     # alike must agree coset for coset, and on the merges and the live peak
