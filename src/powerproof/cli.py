@@ -17,6 +17,7 @@ from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from .cosets import MAX_COSETS, Presentation, enumerate_cosets
 from .engel import MAX_ENGEL, engel_word
 from .proofwords import (
+    MAX_EXPONENT,
     fold,
     parse_proof,
     proof_str,
@@ -187,6 +188,7 @@ def _int_in(low: int, high: int | None = None):
 
 _positive_int = _int_in(1)
 _engel_index = _int_in(1, MAX_ENGEL)
+_exponent = _int_in(1, MAX_EXPONENT)
 _rank = _int_in(1, 26)
 
 
@@ -237,14 +239,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--proof", required=True)
     add_rank(p)
     add_target(p)
-    p.add_argument("--exponent", type=_positive_int, required=True)
+    p.add_argument("--exponent", type=_exponent, required=True)
     add_bases(p, with_lyndon=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="proof word statistics")
     p.add_argument("--proof", required=True)
     add_rank(p)
-    p.add_argument("--exponent", type=_positive_int, default=4)
+    p.add_argument("--exponent", type=_exponent, default=4)
     p.set_defaults(func=_cmd_stats)
 
     p = sub.add_parser("fold", help="fold bordering inverse pairs into relators")
@@ -255,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="search for a proof word for a target")
     add_target(p)
     add_rank(p)
-    p.add_argument("--exponent", type=_positive_int, required=True)
+    p.add_argument("--exponent", type=_exponent, required=True)
     add_bases(p, with_lyndon=True)
     defaults = SearchConfig()
     p.add_argument("--beam", type=_positive_int, default=defaults.beam_width)

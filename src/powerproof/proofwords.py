@@ -36,6 +36,13 @@ from .words import (
 )
 
 
+# The largest exponent a relator set takes.  A member of length m has m + 1
+# append index levels, keyed by its inverse prefixes of every length, so the
+# index holds about m^2 / 2 key characters per member: it grows with the
+# square of the exponent.
+MAX_EXPONENT = 64
+
+
 @dataclass(frozen=True)
 class RelatorSet:
     """Symmetrized set of e-th powers: closed under rotation and inversion.
@@ -54,6 +61,8 @@ class RelatorSet:
     def __post_init__(self):
         if self.exponent < 1:
             raise ValueError(f"exponent must be positive, got {self.exponent}")
+        if self.exponent > MAX_EXPONENT:
+            raise ValueError(f"exponents are taken up to MAX_EXPONENT = {MAX_EXPONENT}, got {self.exponent}")
         canon = {bracelet_canon(base) for base in self.bases}
         object.__setattr__(self, "bases", tuple(sorted(canon, key=lambda w: (len(w), order_key(w)))))
 
@@ -259,28 +268,30 @@ def fold(p: ProofWord) -> ProofWord:
     Whenever the conjugator before a relator ends with x, the conjugator
     after it begins with x^-1, and the relator either ends with x or begins
     with x^-1, the pair is folded into the relator: the relator is rotated to
-    absorb the two letters, shortening the text by two symbols.  Repeats
-    until no fold applies; flattening is unchanged.
+    absorb the two letters, shortening the text by two symbols.  Each
+    relator folds until no pair applies; flattening is unchanged.
+
+    One pass, left to right, is enough: folding a relator removes letters
+    only from the end of the conjugator before it and from the start of the
+    one after it.  The next relator is folded after that, and the start of
+    the conjugator after a relator changes later only by its emptying,
+    which leaves that relator nothing to fold.
     """
     conjs = [list(c) for c in p.conjugators]
     rels = list(p.relators)
-    changed = True
-    while changed:
-        changed = False
-        for i, r in enumerate(rels):
-            left, right = conjs[i], conjs[i + 1]
-            while left and right and left[-1] == -right[0]:
-                x = left[-1]
-                if r[-1] == x:
-                    r = (x,) + r[:-1]
-                elif r[0] == -x:
-                    r = r[1:] + (-x,)
-                else:
-                    break
-                left.pop()
-                del right[0]
-                rels[i] = r
-                changed = True
+    for i, r in enumerate(rels):
+        left, right = conjs[i], conjs[i + 1]
+        while left and right and left[-1] == -right[0]:
+            x = left[-1]
+            if r[-1] == x:
+                r = (x,) + r[:-1]
+            elif r[0] == -x:
+                r = r[1:] + (-x,)
+            else:
+                break
+            left.pop()
+            del right[0]
+        rels[i] = r
     return ProofWord(tuple(tuple(c) for c in conjs), tuple(rels))
 
 

@@ -92,30 +92,30 @@ _TAIL = 6
 
 
 class _HalfRuleMemo(dict):
-    """memo[w[memo.tail], min(len(w), memo.longest)]: the entries of
-    memo.index that can offer members to the state w, in index order, made
-    on first use.
-    They are those whose members are longer than w, or whose half level holds
-    w's last h letters if h <= _TAIL, or a key ending in w's last _TAIL
-    letters if h is longer; any other entry has no bucket for w."""
+    """memo[w[memo.tail], min(len(w), memo.longest)]: (m, h, levels) for
+    each member length m that can offer members to the state w, in index
+    order, made on first use; the state's bucket is levels[h][w's last h
+    letters].  Members longer than w are all offered, so h = 0.  Otherwise
+    h = ceil(m/2), and m is kept if a key at level h ends in w's last
+    min(h, _TAIL) letters; any other length has no bucket for w."""
 
     def __init__(self, append_index: tuple[list[dict], ...]):
-        # one entry (m, h, levels[h], levels) per member length m, where
-        # h = ceil(m/2) is the cancellation the half rule asks of a member
-        # no longer than the state
+        # one entry (m, h, levels, the last _TAIL letters of each key at
+        # level h) per member length m
+        self.tail = slice(-_TAIL, None)
         self.index = []
         for levels in append_index:
             m = len(levels) - 1
             h = (m + 1) // 2
-            self.index.append((m, h, levels[h], levels))
-        self.tail = slice(-_TAIL, None)
+            self.index.append((m, h, levels, {key[self.tail] for key in levels[h]}))
         self.longest = self.index[-1][0] if self.index else 0
-        self.tails = {m: {key[self.tail] for key in level} for m, h, level, _ in self.index if h > _TAIL}
 
     def __missing__(self, near: tuple[str, int]) -> list:
-        t, n = near  # each entry e is (m, h, levels[h], levels)
+        # t is w[-_TAIL:].  If h <= _TAIL, tails is the key set of level h;
+        # if not, n >= m > 2 * _TAIL, so t[-h:] is t.
+        t, n = near
         kept = self[near] = [
-            e for e in self.index if e[0] > n or (t[-e[1] :] in e[2] if e[1] <= _TAIL else t in self.tails[e[0]])
+            (m, 0 if m > n else h, levels) for m, h, levels, tails in self.index if m > n or t[-h:] in tails
         ]
         return kept
 
@@ -135,15 +135,17 @@ def _beam_attempt(
     length is read from the end letters of its parent before it is built,
     and a child of the conjugation by g never builds its conjugation by
     g^-1, which is its parent.  moves_tried still counts every conjugation
-    of every state.  Appends follow the half rule: a member no longer than the state
-    is offered only if it cancels at least half of itself against the
-    state, and every longer member is offered; moves_tried counts every
-    offered member.  Only the member lengths _HalfRuleMemo keeps are
-    looked up; the others find no bucket, so nothing offered changes.  Of
-    those members, only the ones whose appended word is within the length
-    cutoff are built: the relator set's append index is read at the level
-    of the cancellation the cutoff needs, when that is more than the half
-    rule's.
+    of every state.  Appends follow the half rule: a member no longer than
+    the state is offered only if it cancels at least half of itself against
+    the state, and every longer member is offered; moves_tried counts every
+    offered member.  Each member length that _HalfRuleMemo keeps for the
+    state is looked up once, at the level h it gives: the half rule's, or
+    0, whose one bucket lists every member, when the members are longer
+    than the state.  A length it leaves out would find no bucket, so
+    nothing offered changes.  Of the offered members, only the ones whose
+    appended word is within the length cutoff are built: the relator set's
+    append index is read again at the level of the cancellation the cutoff
+    needs, when that is more than h.
 
     Words longer than the cutoff could never be chosen.  The cutoff of the
     first depth starts at four times the start; each later depth starts it
@@ -215,17 +217,12 @@ def _beam_attempt(
                         candidates[word] = (word, node, letter, onward)
                         by_length[len(word)].append(word)
                         kept += 1
-                for m, h, half_level, levels in half_rule[w[tail_of], n if n < longest else longest]:
+                for m, h, levels in half_rule[w[tail_of], n if n < longest else longest]:
                     # The half rule's bucket: members of length m that
-                    # cancel at least h letters, or all of them when they
-                    # are longer than the state.
-                    if m > n:
-                        h = 0
-                        bucket = levels[0][""]
-                    else:
-                        bucket = half_level.get(w[n - h :])
-                        if bucket is None:
-                            continue
+                    # cancel at least h letters; at h = 0, all of them.
+                    bucket = levels[h].get(w[n - h :])
+                    if bucket is None:
+                        continue
                     tried += len(bucket)
                     # Within the cutoff needs a cancellation of k letters;
                     # above h only the members in the k-level bucket have it.

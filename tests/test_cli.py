@@ -220,6 +220,12 @@ def test_search_rejects_out_of_range_config(capsys):
         (("engel", "--n", "40"), "--n"),
         (("search", "--engel", "21", "--exponent", "3", "--lyndon-upto", "3"), "--engel"),
         (("verify", "--proof", FIXTURE, "--engel", "40", "--exponent", "4"), "--engel"),
+        # the exponent is bounded (proofwords.MAX_EXPONENT = 64): the append
+        # index grows with its square
+        (("search", "--engel", "1", "--exponent", "65", "--lyndon-upto", "1"), "--exponent"),
+        (("search", "--engel", "1", "--exponent", "40000", "--lyndon-upto", "1"), "--exponent"),
+        (("verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "65"), "--exponent"),
+        (("stats", "--proof", FIXTURE, "--exponent", "65"), "--exponent"),
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, argv, option):

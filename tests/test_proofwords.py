@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof, e5_proof_text
 from powerproof.proofwords import (
+    MAX_EXPONENT,
     ProofWord,
     RelatorSet,
     distinct_presentation,
@@ -60,6 +61,10 @@ def test_relator_set_validates_on_construction():
         RelatorSet(4, (P("a"), ()))
     with pytest.raises(ValueError, match="exponent must be positive, got 0"):
         RelatorSet(0, (P("a"),))
+    # the append index grows with the square of the exponent
+    assert RelatorSet(MAX_EXPONENT, (P("a"),)).exponent == MAX_EXPONENT == 64
+    with pytest.raises(ValueError, match="^exponents are taken up to MAX_EXPONENT = 64, got 65$"):
+        RelatorSet(65, (P("a"),))
 
 
 def test_symmetrize_closure():
@@ -305,6 +310,10 @@ def test_fold_examples():
 
 def test_fold_absorbs_repeatedly():
     assert proof_str(fold(parse_proof("ba(babababa)AB"))) == "(babababa)"
+    # two neighbouring relators both absorb letters of the conjugator
+    # between them, the first from its start and the second from its end
+    assert proof_str(fold(parse_proof("ba(babababa)ABa(aaaa)A"))) == "(babababa)(aaaa)"
+    assert proof_str(fold(parse_proof("ba(babababa)ABab(BBBB)BA"))) == "(babababa)a(BBBB)A"
 
 
 def test_fold_properties_random():

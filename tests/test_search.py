@@ -279,13 +279,16 @@ def test_one_depth_half_rule_examples():
 
 
 def _half_rule_buckets(entries, w):
-    """(m, bucket) for each of the half rule memo's entries that offers
-    members to the state key w: its half level's bucket, or all its members
-    when they are longer than w."""
+    """(m, bucket) for each entry (m, _, levels, ...) that offers members to
+    the state key w: the bucket at the half level h = ceil(m/2), or all the
+    members when they are longer than w."""
     n = len(w)
     out = []
-    for m, h, half_level, levels in entries:
-        bucket = levels[0][""] if m > n else half_level.get(w[n - h :])
+    for entry in entries:
+        levels = entry[2]
+        m = len(levels) - 1
+        h = (m + 1) // 2
+        bucket = levels[0][""] if m > n else levels[h].get(w[n - h :])
         if bucket is not None:
             out.append((m, bucket))
     return out
@@ -296,14 +299,24 @@ def test_half_rule_memo_derives_the_half_level_of_each_length(bases, exponent):
     append_index = symmetrize(bases, exponent).append_index
     index = _HalfRuleMemo(append_index).index
     assert len(index) == len(append_index)
-    for (m, h, half_level, levels), own in zip(index, append_index):
+    for (m, h, levels, tails), own in zip(index, append_index):
         assert levels is own and m == len(levels) - 1
-        assert h == (m + 1) // 2 and half_level is levels[h]
+        assert h == (m + 1) // 2 and tails == {key[-6:] for key in levels[h]}
+        if h <= 6:
+            assert tails == levels[h].keys()
 
 
 def test_half_rule_memo_example():
     (levels,) = symmetrize([P("ab")], 2).append_index  # abab, baba, BABA, ABAB
-    assert _HalfRuleMemo((levels,)).index == [(4, 2, levels[2], levels)]
+    # the inverses of the members' first two letters
+    half = {order_key(P(x)) for x in ("BA", "AB", "ab", "ba")}
+    memo = _HalfRuleMemo((levels,))
+    assert memo.index == [(4, 2, levels, half)]
+    # BBBA ends in BA, the inverse of abab's ab; BBBB ends in no key; BA is
+    # shorter than every member, so all of them are offered from level 0
+    for state, kept in [("BBBA", [(4, 2, levels)]), ("BBBB", []), ("BA", [(4, 0, levels)])]:
+        key = order_key(P(state))
+        assert memo[key[memo.tail], min(len(key), memo.longest)] == kept
 
 
 @settings(deadline=None)
@@ -330,8 +343,12 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
             w.insert(0, rnd.choice([x for x in letters if not w or x != -w[0]]))
         state = tuple(w[len(w) - n :])
         key = order_key(state)
-        kept = _half_rule_buckets(memo[key[memo.tail], min(n, memo.longest)], key)
+        entries = memo[key[memo.tail], min(n, memo.longest)]
+        kept = _half_rule_buckets(entries, key)
         assert kept == _half_rule_buckets(index, key)
+        # the node loop's one lookup per kept length finds the same buckets
+        looked_up = [(m, levels[h].get(key[n - h :])) for m, h, levels in entries]
+        assert [(m, b) for m, b in looked_up if b is not None] == kept
         assert sum(len(b) for _, b in kept) == len(naive_appendable(rs, state))
 
 

@@ -142,6 +142,7 @@ def test_cyclic_reduce_examples():
 def test_rotations_examples():
     assert rotations(P("AbA")) == {P("AbA"), P("bAA"), P("AAb")}
     assert rotations(P("aa")) == {P("aa")}
+    assert rotations(()) == {()}
     with pytest.raises(ValueError):
         rotations(P("aA"))
     with pytest.raises(ValueError):
