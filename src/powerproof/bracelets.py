@@ -61,11 +61,18 @@ def bracelet_canon(w: Word) -> Word:
     return tuple(w) if least == s else key_word(least)
 
 
+def primitive_root(w: Word) -> tuple[Word, int]:
+    """(v, k) with w = v^k and v not a proper power, for a non-empty w: the
+    length of v is the least shift at which w is one of its own rotations."""
+    s = order_key(w)
+    p = (s + s).find(s, 1)
+    return tuple(w[:p]), len(s) // p
+
+
 def is_proper_power(w: Word) -> bool:
     """True iff w = v^k for some k >= 2 (w cyclically reduced): w is then one
     of its own proper rotations."""
-    s = order_key(w)
-    return 0 < (s + s).find(s, 1) < len(s)
+    return bool(w) and primitive_root(w)[1] > 1
 
 
 def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[BraceletClass]:

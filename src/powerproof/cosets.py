@@ -6,21 +6,33 @@ coincidences are resolved with a union-find over coset numbers.  When the
 enumeration completes, the live cosets carry a full action of the generators
 and their count is the order of the presented group.
 
+A relator whose cyclic core is, up to rotation and inversion, a power v^k of
+another relator's core v is left out of the scan list when k >= 2, or when
+k = 1 and the other relator comes first: it lies in the normal closure of
+the other, so the group is the same, and its walks would only repeat the
+other's.  ``Presentation.relators`` keeps every relator.
+
 The table is stored by column, one list per letter, padded so that a gap
 absorbs a walk: ``_Enumerator.run`` walks each relator with no test per letter
 and hands only a walk that ended in a gap to ``scan_and_fill``.  Both paths
 visit cosets and relators in the same HLT order, so the definitions, the count
-of cosets defined and the compacted table are those of a row-per-coset table.
-``_Enumerator.coincidence`` runs its finds and unions inline, with no call per
-deduction, and the compaction renumbers the live cosets one column at a time
-with ``map`` and transposes the columns into rows with ``zip``.
+of cosets defined and the compacted table are those of a row-per-coset table
+over the same scan list.  ``_Enumerator.coincidence`` runs its finds and
+unions inline, with no call per deduction.  The result keeps the parent list
+and columns, and compacts them into rows only when ``CosetTable.rows`` is
+first read, so ``order`` builds no row table: the compaction renumbers the
+live cosets one column at a time with ``map`` and transposes the columns into
+rows with ``zip``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import attrgetter
 
-from .words import Alphabet, Word, is_freely_reduced, letter_index, word_str
+from .bracelets import bracelet_canon, primitive_root
+from .words import Alphabet, Word, cyclic_reduce, is_freely_reduced, letter_index, word_str
 
 UNDEF = -1
 # the default bound on cosets defined, for callers and the CLI alike
@@ -45,27 +57,53 @@ class Presentation:
                 raise ValueError(f"relator {word_str(r)!r} is not freely reduced")
 
 
-@dataclass
+_COMPARED = attrgetter("order", "cosets_defined", "coincidences", "live_peak", "rows")
+
+
+@dataclass(eq=False)
 class CosetTable:
     """Result of an enumeration run.
 
-    ``order`` is None when the table limit was hit (inconclusive).  On
-    success ``rows`` is the compacted action table:
-    ``rows[c][letter_index(g)]`` is the coset reached from c by g, with
-    coset 0 the subgroup coset.  ``coincidences`` counts the cosets merged
-    away and ``live_peak`` the most cosets live at once; on a complete table
+    ``order`` is None when the table limit was hit (inconclusive).
+    ``coincidences`` counts the cosets merged away and ``live_peak`` the most
+    cosets live at once; on a complete table
     ``coincidences == cosets_defined - order``.
+
+    A complete table keeps the enumerator's union-find ``parent`` list (a
+    coset c is live iff ``parent[c] == c``) and its ``columns``, one per
+    letter and indexed by coset.  ``rows`` derives from them on first read:
+    the compacted action table, ``rows[c][letter_index(g)]`` the coset
+    reached from c by g, with coset 0 the subgroup coset; it is empty on an
+    overflowed table.  Tables are equal when their counts and rows are.
     """
 
     order: int | None
     cosets_defined: int
-    rows: list[list[int]] = field(default_factory=list)
     coincidences: int = 0
     live_peak: int = 0
+    parent: list[int] = field(default_factory=list, repr=False)
+    columns: list[list[int]] = field(default_factory=list, repr=False)
 
     @property
     def overflowed(self) -> bool:
         return self.order is None
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        # compact live cosets to 0..n-1; no live entry names a dead coset
+        live = [c for c, p in enumerate(self.parent) if p == c]
+        index = [UNDEF] * len(self.parent)
+        for i, c in enumerate(live):
+            index[c] = i
+        # one lazy column per letter, transposed by zip: the per-coset work
+        # runs in C
+        columns = [map(index.__getitem__, map(column.__getitem__, live)) for column in self.columns]
+        return list(map(list, zip(*columns)))
+
+    def __eq__(self, other):
+        if not isinstance(other, CosetTable):
+            return NotImplemented
+        return _COMPARED(self) == _COMPARED(other)
 
     def trace(self, coset: int, w: Word) -> int:
         """Image of a coset under a word.
@@ -86,6 +124,28 @@ class CosetTable:
         return coset
 
 
+def _scan_list(relators: tuple[Word, ...]) -> list[Word]:
+    """The relators that the enumerator scans, in their given order: each
+    core is keyed by the bracelet class of its primitive root and its power,
+    and a relator is left out when another's core has the same root and a
+    power that properly divides its own, or when an earlier one has the same
+    key."""
+    keys = []
+    powers: dict[Word, set[int]] = {}
+    for r in relators:
+        v, k = primitive_root(cyclic_reduce(r)[0])
+        root = bracelet_canon(v)
+        keys.append((root, k))
+        powers.setdefault(root, set()).add(k)
+    seen = set()
+    kept = []
+    for r, (root, k) in zip(relators, keys):
+        if (root, k) not in seen and not any(k % j == 0 for j in powers[root] if j < k):
+            kept.append(r)
+        seen.add((root, k))
+    return kept
+
+
 class _Enumerator:
     """The enumeration state, stored by column: ``cols[k][c]`` is the image
     of coset c under the letter of index k, or UNDEF.
@@ -100,7 +160,7 @@ class _Enumerator:
     def __init__(self, pres: Presentation, max_cosets: int):
         self.cols: list[list[int]] = [[UNDEF, UNDEF] for _ in range(2 * pres.alphabet.rank)]
         self.relators = []
-        for r in pres.relators:
+        for r in _scan_list(pres.relators):
             idx = tuple(letter_index(x) for x in r)
             self.relators.append((idx, tuple(self.cols[k] for k in idx), tuple(self.cols[k ^ 1] for k in idx)))
         # (column, inverse) of each letter, for the coincidence loop
@@ -234,7 +294,9 @@ def enumerate_cosets(pres: Presentation, max_cosets: int = MAX_COSETS) -> CosetT
     """Enumerate cosets of the trivial subgroup.
 
     Returns the group order on success; an overflow result (order None) when
-    more than ``max_cosets`` cosets would need to be defined.
+    more than ``max_cosets`` cosets would need to be defined.  The order is
+    the live count, ``len(parent) - coincidences``; the row table is built
+    only if ``rows`` is read.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
@@ -242,16 +304,8 @@ def enumerate_cosets(pres: Presentation, max_cosets: int = MAX_COSETS) -> CosetT
     try:
         enum.run()
     except _Overflow:
-        order, rows = None, []
-    else:
-        # compact live cosets to 0..n-1; no live entry names a dead coset
-        live = [c for c, p in enumerate(enum.parent) if p == c]
-        index = [UNDEF] * len(enum.parent)
-        for i, c in enumerate(live):
-            index[c] = i
-        order = len(live)
-        # one lazy column per letter, transposed by zip: the per-coset work
-        # runs in C
-        columns = [map(index.__getitem__, map(column.__getitem__, live)) for column in enum.cols]
-        rows = list(map(list, zip(*columns)))
-    return CosetTable(order, len(enum.parent), rows, enum.coincidences, enum.live_peak)
+        return CosetTable(None, len(enum.parent), enum.coincidences, enum.live_peak)
+    defined = len(enum.parent)
+    return CosetTable(
+        defined - enum.coincidences, defined, enum.coincidences, enum.live_peak, parent=enum.parent, columns=enum.cols
+    )

@@ -11,6 +11,7 @@ from powerproof.bracelets import (
     enumerate_lyndon,
     enumerate_reduced_bracelets,
     is_proper_power,
+    primitive_root,
 )
 from powerproof.proofwords import symmetrize
 from powerproof.words import (
@@ -109,6 +110,10 @@ def test_is_proper_power():
     assert not is_proper_power(P("aaBa"))
     assert not is_proper_power(P("a"))
     assert not is_proper_power(())
+    assert primitive_root(P("abab")) == (P("ab"), 2)
+    assert primitive_root(P("aaa")) == (P("a"), 3)
+    assert primitive_root(P("aaBa")) == (P("aaBa"), 1)
+    assert primitive_root(P("aBAbaBAb")) == (P("aBAb"), 2)
 
 
 @pytest.mark.parametrize("length,expected", list(enumerate(REDUCED_COUNTS, start=1)))

@@ -9,7 +9,9 @@ import pytest
 
 from powerproof import cli
 from powerproof.cli import main
+from powerproof.cosets import CosetTable, Presentation, enumerate_cosets
 from powerproof.proofwords import ProofWord
+from powerproof.words import AB, parse_word as P
 
 FIXTURE = str(importlib.resources.files("powerproof").joinpath("data/e5_proof_26_powers.txt"))
 
@@ -122,6 +124,21 @@ def test_verify_rejects_base_length_below_one(capsys):
         "--max-base-len", "2",
     )
     assert code == 1 and out.strip().endswith("INVALID")
+
+
+def test_verify_takes_the_lyndon_bases(tmp_path, capsys):
+    # (aa)^4 is a fourth power of a reduced bracelet of length 2, but aa is
+    # a proper power, so no Lyndon set holds it
+    proof = tmp_path / "p.pf"
+    proof.write_text("(aaaaaaaa)\n")
+    target = tmp_path / "t.w"
+    target.write_text("aaaaaaaa\n")
+    verify = ("verify", "--proof", str(proof), "--target", str(target), "--exponent", "4")
+    code, out, _ = run(capsys, *verify, "--lyndon-upto", "2")
+    assert code == 1 and out.strip().endswith("INVALID")
+    assert "bad relator segments (0-based): [0]" in out.splitlines()
+    code, out, _ = run(capsys, *verify, "--max-base-len", "2")
+    assert code == 0 and out.strip().endswith("VALID")
 
 
 def test_stats_fixture(capsys):
@@ -320,6 +337,26 @@ def test_order(tmp_path, capsys):
     assert code == 0 and out.strip() == "6"
     # the line starts with "cosets defined N", which the benchmark parses
     assert err == "cosets defined 8, live peak 8, coincidences 2\n"
+
+
+def test_order_builds_no_row_table(tmp_path, capsys, monkeypatch):
+    compactions = []
+    compact = CosetTable.rows.func
+
+    def spy(table):
+        compactions.append(table.order)
+        return compact(table)
+
+    monkeypatch.setattr(CosetTable, "rows", property(spy))
+    rels = tmp_path / "rels.w"
+    rels.write_text("aaaaaa\nAAA\naaa\nbb\nabAB\nBAba\n")
+    code, out, err = run(capsys, "order", "--relators", str(rels))
+    assert (code, out, err) == (0, "6\n", "cosets defined 6, live peak 6, coincidences 0\n")
+    assert compactions == []
+    # the spy sees the compaction when the rows are read
+    assert enumerate_cosets(Presentation(AB, (P("aa"),)), 10).rows == []
+    assert enumerate_cosets(Presentation(AB, (P("aa"), P("bb"), P("abAB")))).trace(0, P("ab")) == 3
+    assert compactions == [None, 4]
 
 
 def test_order_names_a_relator_that_reduces_to_nothing(tmp_path, capsys):

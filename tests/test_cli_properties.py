@@ -86,9 +86,8 @@ def target(draw):
     return ["--target", draw(files(texts))]
 
 
-def bases(draw, with_lyndon):
-    names = ["--bases", "--max-base-len"] + (["--lyndon-upto"] if with_lyndon else [])
-    name = draw(st.sampled_from(names))
+def bases(draw):
+    name = draw(st.sampled_from(["--bases", "--max-base-len", "--lyndon-upto"]))
     if name == "--bases":
         return [name, draw(files(texts))]
     return [name, draw(ints(st.integers(1, 3)))]
@@ -110,7 +109,7 @@ def bracelets_argv(draw):
 def verify_argv(draw):
     argv = ["verify", *option(draw, "--proof", files(proofs), True), *option(draw, "--rank", ranks)]
     argv += target(draw) + option(draw, "--exponent", exponents, True)
-    return argv + (bases(draw, with_lyndon=False) if draw(st.booleans()) else [])
+    return argv + (bases(draw) if draw(st.booleans()) else [])
 
 
 @st.composite
@@ -134,7 +133,7 @@ def search_argv(draw):
         # a power of a short word, often provable within the budget
         e = int(exponent[1]) if exponent and exponent[1].isdigit() else 4
         argv += ["--target", File(draw(st.text(alphabet="aAbB", min_size=1, max_size=3)) * min(e, 5))]
-    argv += bases(draw, with_lyndon=True) if draw(st.integers(0, 19)) else []
+    argv += bases(draw) if draw(st.integers(0, 19)) else []
     # always bounded: the defaults, a beam of 1,000 for 256 moves, would
     # let a search that finds nothing run long
     argv += ["--beam", draw(ints(st.integers(1, 50))), "--max-moves", draw(ints(st.integers(1, 20)))]
@@ -175,19 +174,16 @@ def check(argv):
         if code:
             assert "error:" in err or out.strip().split("\n")[-1] in VERDICTS, (code, out, err)
         if code == 0 and paths[0] == "search":
-            # the printed proof is checked by verify, over every base the
-            # search may have used; verify takes no --lyndon-upto, and the
-            # Lyndon words are among the reduced bracelets of --max-base-len
+            # the printed proof is checked by verify over the bases the
+            # search was given, by the search's own option
             proof = os.path.join(tmp, "found.pf")
             with open(proof, "w") as f:
                 f.write(out)
-            keep = {"--rank", "--target", "--engel", "--exponent", "--bases", "--max-base-len"}
+            keep = {"--rank", "--target", "--engel", "--exponent", "--bases", "--max-base-len", "--lyndon-upto"}
             verify = ["verify", "--proof", proof]
             for name, value in zip(paths[1::2], paths[2::2]):
                 if name in keep:
                     verify += [name, value]
-                elif name == "--lyndon-upto":
-                    verify += ["--max-base-len", value]
             code, out, err = run(verify)
             assert (code, out.strip().split("\n")[-1]) == (0, "VALID"), (paths, code, out, err)
 

@@ -11,9 +11,9 @@ from powerproof.cosets import UNDEF, Presentation, _Enumerator, _Overflow, enume
 from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import distinct_presentation
-from powerproof.words import AB, Alphabet, parse_word as P, power
+from powerproof.words import AB, Alphabet, parse_word as P, power, word_str
 
-from util import reference_enumerate_cosets
+from util import naive_scan_list, reference_enumerate_cosets
 
 
 def pres(*texts, rank=2):
@@ -174,12 +174,37 @@ def presentations(draw):
     return Presentation(Alphabet(rank), tuple(relators))
 
 
+# relators implied by another: a power before its root; an inverse
+# duplicate, whose earlier copy is the one scanned; a rotated inverse; a
+# relator whose cyclic core is another relator; a chain of implications,
+# longest first.  In the last, neither relator is implied: a^4 and a^6 are
+# not powers of each other.
+IMPLIED = [
+    pres("aaaaaa", "aaa", rank=1),
+    pres("aaa", "AAA", rank=1),
+    pres("abAB", "BAba", "aa", "bb"),
+    pres("aaa", "bb", "abab", "baaaB"),
+    pres("aaaaaaaaaaaa", "aaaaaa", "aaa", rank=1),
+    pres("aaaa", "aaaaaa", rank=1),
+]
+
+
+def with_examples(examples):
+    def decorate(test):
+        for presentation in reversed(examples):
+            test = example(presentation, 2000)(test)
+        return test
+
+    return decorate
+
+
 @settings(deadline=None)
 @given(presentations(), st.sampled_from([50, 300, 2000]))
 # order 2 from 10 cosets: 8 coincidences, whose deductions take both
 # branches of the coincidence loop (the representative's own entry is
 # defined, or only the image's inverse entry is) and queue further merges
 @example(pres("aaa", "bbbb", "abab", "abAB"), 2000)
+@with_examples(IMPLIED)
 def test_enumeration_matches_the_reference_enumerator(pres, max_cosets):
     # the definition order is the algorithm: complete and overflowed tables
     # alike must agree coset for coset, and on the merges and the live peak
@@ -189,6 +214,24 @@ def test_enumeration_matches_the_reference_enumerator(pres, max_cosets):
     if not table.overflowed:
         assert table.coincidences == table.cosets_defined - table.order
         assert table.order <= table.live_peak <= table.cosets_defined
+
+
+@settings(deadline=None)
+@given(presentations(), st.sampled_from([50, 300, 2000]))
+@with_examples(IMPLIED)
+def test_skipped_relators_leave_the_order_unchanged(pres, max_cosets):
+    # the scan list presents the same group as the full relator list
+    table = enumerate_cosets(pres, max_cosets)
+    full = reference_enumerate_cosets(pres, max_cosets, scan_all=True)
+    if not table.overflowed and not full.overflowed:
+        assert table.order == full.order
+        assert all(table.trace(c, r) == c for r in pres.relators for c in range(table.order))
+
+
+def test_scan_list_examples():
+    kept = [[word_str(r) for r in naive_scan_list(p.relators)] for p in IMPLIED]
+    assert kept == [["aaa"], ["aaa"], ["abAB", "aa", "bb"], ["aaa", "bb", "abab"], ["aaa"], ["aaaa", "aaaaaa"]]
+    assert [enumerate_cosets(p).order for p in IMPLIED] == [3, 3, 4, 6, 3, 2]
 
 
 @settings(deadline=None)

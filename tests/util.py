@@ -1,7 +1,7 @@
 """Shared test helpers: an independent string-based word oracle, the tuple
 bracelet-canon oracle, the naive append filter, the reference beam, the
-row-major reference coset enumerator, seeded random generators for words and
-valid proof words, and base-word lists."""
+row-major reference coset enumerator and its relator filter, seeded random
+generators for words and valid proof words, and base-word lists."""
 
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, CosetTable, Presentation
 from powerproof.proofwords import ProofWord, RelatorSet
 from powerproof.search import MoveLog, SearchConfig, apply_move
-from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, rotations
+from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, power, rotations
 
 
 def reduce_str(s: str) -> str:
@@ -90,10 +90,29 @@ def reference_search(
     return None, states, moves_tried
 
 
+def naive_scan_list(relators: tuple[Word, ...]) -> list[Word]:
+    """The relators left once every implied one is dropped: relator i goes
+    when its cyclic core is a rotation of d^m or of its inverse, with d the
+    core of another relator j and m >= 2, or m = 1 and j < i."""
+    cores = [cyclic_reduce(r)[0] for r in relators]
+
+    def implied(i: int) -> bool:
+        c = cores[i]
+        for j, d in enumerate(cores):
+            m, rest = divmod(len(c), len(d))
+            if j != i and not rest and (m >= 2 or j < i):
+                if c in rotations(power(d, m)) | rotations(invert(power(d, m))):
+                    return True
+        return False
+
+    return [r for i, r in enumerate(relators) if not implied(i)]
+
+
 class _RowMajorEnumerator:
-    def __init__(self, pres: Presentation, max_cosets: int):
+    def __init__(self, pres: Presentation, max_cosets: int, scan_all: bool):
         self.ncols = 2 * pres.alphabet.rank
-        self.relators = [tuple(letter_index(x) for x in r) for r in pres.relators]
+        relators = pres.relators if scan_all else naive_scan_list(pres.relators)
+        self.relators = [tuple(letter_index(x) for x in r) for r in relators]
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.ncols]
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
@@ -193,9 +212,12 @@ class _Overflow(Exception):
     pass
 
 
-def reference_enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) -> CosetTable:
+def reference_enumerate_cosets(
+    pres: Presentation, max_cosets: int = 2_000_000, scan_all: bool = False
+) -> CosetTable:
     """HLT enumeration on a row-major table, one row list per coset, every
-    relator scanned by ``scan_and_fill``, the live count checked after every
+    relator of ``naive_scan_list`` (of every relator, with ``scan_all``)
+    scanned by ``scan_and_fill``, the live count checked after every
     definition: the reference that the library's column-major enumerator
     must match coset for coset and counter for counter.
 
@@ -204,7 +226,7 @@ def reference_enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) 
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    enum = _RowMajorEnumerator(pres, max_cosets)
+    enum = _RowMajorEnumerator(pres, max_cosets, scan_all)
     try:
         enum.run()
     except _Overflow:
@@ -216,16 +238,14 @@ def reference_enumerate_cosets(pres: Presentation, max_cosets: int = 2_000_000) 
     for c in range(len(enum.table)):
         if enum.parent[c] == c:
             index[c] = len(index)
-    rows = [
-        [index[enum.rep(enum.table[c][col])] for col in range(enum.ncols)]
-        for c in index
-    ]
+    columns = [[index[enum.rep(enum.table[c][col])] for c in index] for col in range(enum.ncols)]
     return CosetTable(
         order=len(index),
         cosets_defined=len(enum.table),
-        rows=rows,
         coincidences=enum.coincidences,
         live_peak=enum.live_peak,
+        parent=list(range(len(index))),
+        columns=columns,
     )
 
 
