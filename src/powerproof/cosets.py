@@ -148,38 +148,39 @@ def _scan_list(relators: tuple[Word, ...]) -> list[Word]:
 
 class _Enumerator:
     """The enumeration state, stored by column: ``cols[k][c]`` is the image
-    of coset c under the letter of index k, or UNDEF.
+    of coset c under the letter of index k, or UNDEF.  A letter is named by
+    its pair ``(column, inverse)`` from ``pairs``, and a relator by its two
+    column tuples ``(fwd, inv)``: ``fwd[i]`` is the column of its letter i
+    and ``inv[i]`` the column of that letter's inverse.
 
     Every slot from ``len(parent)`` on is UNDEF, the last one included, so
     ``column[UNDEF]`` is UNDEF and a walk that meets a gap ends at UNDEF.  A
     definition that would take the last slot doubles every column in place:
-    a relator's ``fwd[i]`` (column of its letter i) and ``inv[i]`` (column of
-    that letter's inverse) alias the columns, so none is ever rebound.
+    the pairs and relator tuples alias the columns, so none is ever rebound.
     """
 
     def __init__(self, pres: Presentation, max_cosets: int):
         self.cols: list[list[int]] = [[UNDEF, UNDEF] for _ in range(2 * pres.alphabet.rank)]
-        self.relators = []
-        for r in _scan_list(pres.relators):
-            idx = tuple(letter_index(x) for x in r)
-            self.relators.append((idx, tuple(self.cols[k] for k in idx), tuple(self.cols[k ^ 1] for k in idx)))
-        # (column, inverse) of each letter, for the coincidence loop
+        # (column, inverse) of each letter, in letter-index order
         self.pairs = tuple((column, self.cols[k ^ 1]) for k, column in enumerate(self.cols))
+        self.relators = [
+            tuple(zip(*(self.pairs[letter_index(x)] for x in r))) for r in _scan_list(pres.relators)
+        ]
         self.max_cosets = max_cosets
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
         self.coincidences = 0  # cosets merged away, so len(parent) - coincidences are live
         self.live_peak = 1  # taken where the live count stops rising: entering coincidence, ending run
 
-    def define(self, c: int, col: int) -> int:
+    def define(self, c: int, column: list[int], inverse: list[int]) -> int:
         d = len(self.parent)
         if d >= self.max_cosets:
             raise _Overflow
-        if d == len(self.cols[0]) - 1:  # keep the last slot UNDEF
-            for column in self.cols:
-                column.extend([UNDEF] * len(column))
+        if d == len(column) - 1:  # keep the last slot UNDEF
+            for col in self.cols:
+                col.extend([UNDEF] * len(col))
         self.parent.append(d)
-        self.cols[col][c] = d
-        self.cols[col ^ 1][d] = c
+        column[c] = d
+        inverse[d] = c
         return d
 
     def coincidence(self, a: int, b: int):
@@ -235,7 +236,7 @@ class _Enumerator:
                     queue.append(y)
         self.coincidences += len(queue)
 
-    def scan_and_fill(self, c: int, idx: tuple[int, ...], fwd: tuple[list[int], ...], inv: tuple[list[int], ...]):
+    def scan_and_fill(self, c: int, fwd: tuple[list[int], ...], inv: tuple[list[int], ...]):
         # Called only for a walk from c that meets a gap, so each forward
         # scan stops at a gap, i <= j: first at the walk's gap, then at the
         # coset just defined, whose one entry leads back the way it came
@@ -256,31 +257,31 @@ class _Enumerator:
                 fwd[i][f] = b
                 inv[i][b] = f
                 return
-            f = self.define(f, idx[i])
+            f = self.define(f, fwd[i], inv[i])
             i += 1
 
     def run(self) -> None:
-        parent, cols = self.parent, self.cols
+        parent = self.parent
         c = 0
         try:
             while c < len(parent):
                 if parent[c] == c:
-                    for idx, fwd, inv in self.relators:
+                    for fwd, inv in self.relators:
                         # a gap absorbs the walk, so only its end is tested
                         f = c
                         for column in fwd:
                             f = column[f]
                         if f != c:
                             if f < 0:  # UNDEF, the only negative entry
-                                self.scan_and_fill(c, idx, fwd, inv)
+                                self.scan_and_fill(c, fwd, inv)
                             else:
                                 self.coincidence(f, c)
                             if parent[c] != c:
                                 break
                     if parent[c] == c:
-                        for col, column in enumerate(cols):
+                        for column, inverse in self.pairs:
                             if column[c] == UNDEF:
-                                self.define(c, col)
+                                self.define(c, column, inverse)
                 c += 1
         finally:
             self.live_peak = max(self.live_peak, len(parent) - self.coincidences)

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .bracelets import bracelet_canon
@@ -184,18 +185,12 @@ def parse_proof(text: str, alphabet: Alphabet = AB) -> ProofWord:
 
 def flatten(p: ProofWord) -> Word:
     """Concatenate all segments in order and freely reduce."""
-    letters: list[int] = []
-    for seg in p.segments():
-        letters.extend(seg)
-    return free_reduce(tuple(letters))
+    return free_reduce(chain.from_iterable(p.segments()))
 
 
 def excision_word(p: ProofWord) -> Word:
     """Freely reduced concatenation of the conjugator segments alone."""
-    letters: list[int] = []
-    for c in p.conjugators:
-        letters.extend(c)
-    return free_reduce(tuple(letters))
+    return free_reduce(chain.from_iterable(p.conjugators))
 
 
 def power_base(r: Word, exponent: int) -> Word:
@@ -299,17 +294,20 @@ def fold(p: ProofWord) -> ProofWord:
 class ProofStats:
     """Size statistics of a proof word with e-th power relators.
 
-    ``overall_length`` counts every symbol including the parentheses, so
-    overall = relator_length_sum + 2 * relator_count + 2 * conjugating_pairs
-    holds exactly.
+    ``overall_length`` counts every symbol of the text form, parentheses
+    included: it derives as
+    relator_length_sum + 2 * relator_count + 2 * conjugating_pairs.
     """
 
-    overall_length: int
     relator_count: int
     relator_length_sum: int
     conjugating_pairs: Fraction
     distinct_relators: int
     exponent: int
+
+    @property
+    def overall_length(self) -> int:
+        return self.relator_length_sum + 2 * self.relator_count + int(2 * self.conjugating_pairs)
 
     @property
     def mean_base_length(self) -> Fraction:
@@ -329,7 +327,6 @@ def stats(p: ProofWord, exponent: int = 4) -> ProofStats:
     rel_sum = sum(len(r) for r in p.relators)
     outside = sum(len(c) for c in p.conjugators)
     return ProofStats(
-        overall_length=outside + rel_sum + 2 * count,
         relator_count=count,
         relator_length_sum=rel_sum,
         conjugating_pairs=Fraction(outside, 2),

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import eq, neg
-from typing import Iterator
+from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
 
@@ -91,8 +91,9 @@ def word_str(w: Word) -> str:
     return "".join(map(_STR.__getitem__, w))
 
 
-def free_reduce(w: Word) -> Word:
-    """Cancel adjacent inverse pairs until none remain (single stack pass)."""
+def free_reduce(w: Iterable[int]) -> Word:
+    """Cancel adjacent inverse pairs until none remain, in a single stack
+    pass over any iterable of letters."""
     out: list[int] = []
     for x in w:
         if out and out[-1] == -x:

@@ -231,8 +231,8 @@ def test_search_rejects_out_of_range_config(capsys):
         ((*SEARCH_E2, "--beam", "0"), "--beam"),
         ((*SEARCH_E2, "--max-moves", "0"), "--max-moves"),
         (("stats", "--proof", FIXTURE, "--exponent", "0"), "--exponent"),
-        # the Engel index is bounded (engel.MAX_ENGEL = 20): the raw
-        # expansion of E_n has 3 * 2^n - 2 letters
+        # the Engel index is bounded (engel.MAX_ENGEL = 20): the reduced
+        # E_n has 2^(n+1) + 2n - 2 letters
         (("engel", "--n", "21"), "--n"),
         (("engel", "--n", "40"), "--n"),
         (("search", "--engel", "21", "--exponent", "3", "--lyndon-upto", "3"), "--engel"),

@@ -1,8 +1,8 @@
 import pytest
 
 from powerproof import engel
-from powerproof.engel import MAX_ENGEL, commutator, engel_word, engel_word_expansion
-from powerproof.words import conjugate, cyclic_reduce, free_reduce, parse_word as P
+from powerproof.engel import MAX_ENGEL, commutator, engel_word
+from powerproof.words import conjugate, cyclic_reduce, free_reduce, invert, parse_word as P
 
 
 def test_commutator_examples():
@@ -24,28 +24,34 @@ def test_engel_recursion():
 
 
 def test_expansion_length_recurrence():
-    lengths = [len(engel_word_expansion(n)) for n in range(1, 6)]
-    expected = [4]
-    while len(expected) < 5:
-        expected.append(2 * expected[-1] + 2)
-    assert lengths == expected == [4, 10, 22, 46, 94]
-    # the closed form that the bound MAX_ENGEL is reckoned by
-    assert all(len(engel_word_expansion(n)) == 3 * 2**n - 2 for n in range(1, 13))
-    assert free_reduce(engel_word_expansion(5)) == engel_word(5)
+    # the recursion written out with no reduction, of length
+    # 2 * len(E_{n-1}) + 2 = 3 * 2^n - 2, and reduced once at the end
+    a, b = P("a"), P("b")
+    raw = invert(a) + invert(b) + a + b
+    lengths = []
+    for n in range(1, 9):
+        lengths.append(len(raw))
+        assert len(raw) == 3 * 2**n - 2
+        assert free_reduce(raw) == engel_word(n)
+        raw = invert(raw) + invert(b) + raw + b
+    assert lengths[:5] == [4, 10, 22, 46, 94]
+
+
+def test_engel_reduced_lengths():
+    assert [len(engel_word(n)) for n in (5, 10, 15)] == [72, 2_066, 65_564]
 
 
 def test_engel_index_is_bounded(monkeypatch):
-    # the expansion of E_n is built in full, 3 * 2^n - 2 letters, so an index
-    # past the bound is refused before any word is built
-    def no_words(w):
+    # an index past the bound is refused before any word is built
+    def no_words(*args):
         raise AssertionError("a word was built")
 
+    monkeypatch.setattr(engel, "commutator", no_words)
     monkeypatch.setattr(engel, "invert", no_words)
     assert MAX_ENGEL == 20
     for n in (MAX_ENGEL + 1, 40, 10**9):
-        for build in (engel_word_expansion, engel_word):
-            with pytest.raises(ValueError, match=f"built up to n = MAX_ENGEL = 20, got {n}"):
-                build(n)
+        with pytest.raises(ValueError, match=f"built up to n = MAX_ENGEL = 20, got {n}"):
+            engel_word(n)
 
 
 def test_e5_shape():

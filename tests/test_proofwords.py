@@ -363,6 +363,8 @@ def test_stats_identity_random():
         assert st.overall_length == (
             st.relator_length_sum + 2 * st.relator_count + 2 * st.conjugating_pairs
         )
+        # the identity holds by construction; the text form is the oracle
+        assert st.overall_length == len(proof_str(p))
         # a proof with trivial excision has an even number of outside symbols
         assert st.conjugating_pairs.denominator == 1
 
