@@ -11,7 +11,9 @@ representative is not a proper power.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import eq
+from itertools import chain
+from operator import eq, itemgetter
+from typing import Iterable
 
 from .words import KEY_INVERSE, LETTERS, Alphabet, Word, key_word, order_key, word_str
 
@@ -23,16 +25,31 @@ class BraceletClass:
     canonical: Word
 
 
-class _RotationSlices(dict):
-    """Length n -> the n slices ``k:k + n`` that cut the rotations of an
-    n-letter word out of its doubled key, made on first use of each length."""
-
-    def __missing__(self, n: int) -> tuple[slice, ...]:
-        slices = self[n] = tuple(slice(k, k + n) for k in range(n))
-        return slices
+# The longest word whose rotations are cut in one call: its 2n <= 64
+# rotations, 2n^2 <= 2,048 characters, are alive at once.
+_CUT_MAX = 32
 
 
-_ROTATIONS = _RotationSlices()
+def _rotation_starts(n: int) -> Iterable[int]:
+    """Where the n rotations of an n-letter word and the n of its inverse
+    start in the key ``ss + tt`` of ``bracelet_canon``."""
+    return chain(range(n), range(2 * n, 3 * n))
+
+
+class _RotationCuts(dict):
+    """Length n <= ``_CUT_MAX`` -> an itemgetter of the 2n slices
+    ``k:k + n`` at the rotation starts k, made on first use of each length.
+    Its call cuts all 2n rotations out of the key at once, at most 64 of at
+    most 32 letters, and since it holds at least two slices it always
+    returns a tuple, also for a one-letter word.  The cache holds at most
+    1,056 slices."""
+
+    def __missing__(self, n: int) -> itemgetter:
+        cut = self[n] = itemgetter(*(slice(k, k + n) for k in _rotation_starts(n)))
+        return cut
+
+
+_CUTS = _RotationCuts()
 
 
 def bracelet_canon(w: Word) -> Word:
@@ -41,12 +58,14 @@ def bracelet_canon(w: Word) -> Word:
     Works on order keys: with ``s`` the key of w and ``u`` the key of its
     letterwise inverse, w is cyclically reduced when no ``u[i]`` equals
     ``s[i + 1]`` (cyclically), the rotations of w are the length-n slices
-    of s + s and those of its inverse the length-n slices of reversed u + u.
-    The least slice of each is found by cutting with the n slices cached
-    for length n, without building a list of rotations, and the lesser of
-    the two is the representative.  When that is s itself, as for every
-    class the enumerator lists, w is returned as a tuple without decoding
-    the key.
+    of ``ss = s + s`` and those of its inverse the length-n slices of
+    ``tt``, reversed u + u.  For a word of at most ``_CUT_MAX`` letters, one
+    call of the itemgetter cached for its length cuts all 2n rotations out
+    of ``ss + tt`` in C, so at most 64 rotations are alive at once; a longer
+    word's rotations are cut one at a time, so no more than two are.  The
+    least rotation is the representative.  When that is s itself, as for
+    every class the enumerator lists, w is returned as a tuple without
+    decoding the key.
     """
     if not w:
         raise ValueError("the empty word has no bracelet class")
@@ -55,9 +74,12 @@ def bracelet_canon(w: Word) -> Word:
     ss = s + s
     if any(map(eq, u, ss[1:])):
         raise ValueError(f"{word_str(w)!r} is not cyclically reduced, so it has no bracelet class")
-    slices = _ROTATIONS[len(s)]
-    tt = (u + u)[::-1]
-    least = min(min(map(ss.__getitem__, slices)), min(map(tt.__getitem__, slices)))
+    n = len(s)
+    key = ss + (u + u)[::-1]
+    if n <= _CUT_MAX:
+        least = min(_CUTS[n](key))
+    else:
+        least = min(key[k : k + n] for k in _rotation_starts(n))
     return tuple(w) if least == s else key_word(least)
 
 

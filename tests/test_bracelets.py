@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import groupby, product
 
 import pytest
@@ -76,9 +77,26 @@ def cyclically_reduced_words(draw, max_rank=26, max_length=12):
 @example(P("abab"))  # a proper power: rotations repeat
 @example(P("a"))
 @example(P("B"))
+@example(P("Ab"))  # two letters: the least rotation is the inverse's aB
+@example(P("bbaBAA" * 11 + "baBa"))  # 70 letters, past the one-call cut
 def test_canon_matches_tuple_oracle(w):
     assert is_cyclically_reduced(w)
     assert bracelet_canon(w) == bracelet_canon_oracle(w)
+
+
+def test_canon_memory_is_bounded_on_long_words():
+    # 2,000 letters: cutting all 4,000 rotations at once would hold about
+    # 8 MB; one at a time, the canon holds a few keys of 8 KB at most
+    w = P("bbaBAA" * 333 + "ba")
+    assert len(w) == 2000
+    tracemalloc.start()
+    try:
+        canon = bracelet_canon(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert canon == bracelet_canon_oracle(w)
+    assert peak < 1_000_000
 
 
 def test_canon_returns_a_tuple_for_a_list():
