@@ -12,7 +12,7 @@ from .bracelets import (
     enumerate_reduced_bracelets,
     is_proper_power,
 )
-from .cosets import CosetTable, Presentation, enumerate_cosets
+from .cosets import CosetTable, Presentation, enumerate_cosets, group_order
 from .engel import commutator, engel_word
 from .fixtures import e5_proof, e5_proof_text
 from .proofwords import (

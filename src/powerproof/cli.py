@@ -15,7 +15,7 @@ from functools import cache
 from typing import Iterable
 
 from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
-from .cosets import MAX_COSETS, Presentation, enumerate_cosets
+from .cosets import MAX_COSETS, Presentation, group_order
 from .engel import MAX_ENGEL, engel_word
 from .proofwords import (
     MAX_EXPONENT,
@@ -159,15 +159,24 @@ def _cmd_order(args) -> int:
     if not relators:
         # the free group: the enumeration would only run to the coset limit
         raise ValueError(f"{args.relators} holds no relators")
-    table = enumerate_cosets(Presentation(args.alphabet, tuple(relators)), args.max_cosets)
-    print(
-        f"cosets defined {table.cosets_defined}, live peak {table.live_peak}, coincidences {table.coincidences}",
-        file=sys.stderr,
-    )
-    if table.overflowed:
+    pres = Presentation(args.alphabet, tuple(relators))
+    order, table = group_order(pres, args.max_cosets)
+    # the counts of the table the order was read from
+    summary = f"cosets defined {table.cosets_defined}, live peak {table.live_peak}, coincidences {table.coincidences}"
+    if table.subgroup:
+        generators = ", ".join(map(word_str, table.subgroup))
+        summary += f", subgroup <{generators}> of order {order // table.order}, index {table.order}"
+    print(summary, file=sys.stderr)
+    if order is None:
         print("OVERFLOW")
         return 1
-    print(table.order)
+    if not table.certifies(pres):
+        print(
+            "error: the coset table fails its check: a relator or subgroup generator moves a coset",
+            file=sys.stderr,
+        )
+        return 1
+    print(order)
     return 0
 
 

@@ -1,10 +1,24 @@
-"""Coset enumeration over the trivial subgroup.
+"""Coset enumeration, and group orders read from it.
 
-HLT-style Todd-Coxeter: cosets are processed in definition order, every
-relator is scanned from every coset with gaps filled by new definitions, and
-coincidences are resolved with a union-find over coset numbers.  When the
-enumeration completes, the live cosets carry a full action of the generators
-and their count is the order of the presented group.
+HLT-style Todd-Coxeter: the subgroup's generators are scanned from coset 0,
+then cosets are processed in definition order, every relator is scanned from
+every coset with gaps filled by new definitions, and coincidences are
+resolved with a union-find over coset numbers.  When the enumeration
+completes, the live cosets carry a full action of the generators and their
+count is the index of the subgroup; over the trivial subgroup, the default,
+that is the order of the presented group.
+
+``group_order`` enumerates the cosets of a cyclic subgroup <x> whose order it
+can certify, which defines fewer cosets than the trivial subgroup: x is the
+generator with the largest k, the gcd of the exponents of the relators whose
+cyclic core is a power of x or x^-1, so x^k = 1 and the order of x divides
+k.  The permutation of x on the complete table is an image of <x>, so when
+the lcm of its cycle lengths is k, x has order exactly k and the group order
+is index * k.  Otherwise, and when no relator is a letter power or the
+subgroup run overflows, it enumerates over the trivial subgroup.
+``CosetTable.certifies`` checks a table independently of the enumerator:
+a complete permutation action in which every scanned relator fixes every
+coset and every subgroup generator fixes coset 0.
 
 A relator whose cyclic core is, up to rotation and inversion, a power v^k of
 another relator's core v is left out of the scan list when k >= 2, or when
@@ -29,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd, lcm
 from operator import attrgetter
 
 from .bracelets import bracelet_canon, primitive_root
@@ -47,34 +62,41 @@ class Presentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
-        for r in self.relators:
-            if not r:
-                raise ValueError("relators must be non-empty")
-            if not all(0 < abs(x) <= self.alphabet.rank for x in r):
-                # r need not be printable in the letter convention
-                raise ValueError(f"relator {r} uses letters beyond rank {self.alphabet.rank}")
-            if not is_freely_reduced(r):
-                raise ValueError(f"relator {word_str(r)!r} is not freely reduced")
+        _check_words(self.relators, self.alphabet.rank, "relator")
 
 
-_COMPARED = attrgetter("order", "cosets_defined", "coincidences", "live_peak", "rows")
+def _check_words(words: tuple[Word, ...], rank: int, kind: str) -> None:
+    for r in words:
+        if not r:
+            raise ValueError(f"{kind}s must be non-empty")
+        if not all(0 < abs(x) <= rank for x in r):
+            # r need not be printable in the letter convention
+            raise ValueError(f"{kind} {r} uses letters beyond rank {rank}")
+        if not is_freely_reduced(r):
+            raise ValueError(f"{kind} {word_str(r)!r} is not freely reduced")
+
+
+_COMPARED = attrgetter("order", "cosets_defined", "coincidences", "live_peak", "subgroup", "rows")
 
 
 @dataclass(eq=False)
 class CosetTable:
-    """Result of an enumeration run.
+    """Result of an enumeration run over the subgroup generated by
+    ``subgroup``, trivial when it is empty.
 
-    ``order`` is None when the table limit was hit (inconclusive).
-    ``coincidences`` counts the cosets merged away and ``live_peak`` the most
-    cosets live at once; on a complete table
+    ``order`` is the number of cosets, the index of the subgroup (over the
+    trivial subgroup, the group order), or None when the table limit was hit
+    (inconclusive).  ``coincidences`` counts the cosets merged away and
+    ``live_peak`` the most cosets live at once; on a complete table
     ``coincidences == cosets_defined - order``.
 
     A complete table keeps the enumerator's union-find ``parent`` list (a
     coset c is live iff ``parent[c] == c``) and its ``columns``, one per
-    letter and indexed by coset.  ``rows`` derives from them on first read:
-    the compacted action table, ``rows[c][letter_index(g)]`` the coset
-    reached from c by g, with coset 0 the subgroup coset; it is empty on an
-    overflowed table.  Tables are equal when their counts and rows are.
+    letter and indexed by coset.  The compacted columns derive from them on
+    first use, and ``rows`` from those on first read: the compacted action
+    table, ``rows[c][letter_index(g)]`` the coset reached from c by g, with
+    coset 0 the subgroup coset; it is empty on an overflowed table.  Tables
+    are equal when their counts, subgroups and rows are.
     """
 
     order: int | None
@@ -83,22 +105,26 @@ class CosetTable:
     live_peak: int = 0
     parent: list[int] = field(default_factory=list, repr=False)
     columns: list[list[int]] = field(default_factory=list, repr=False)
+    subgroup: tuple[Word, ...] = ()
 
     @property
     def overflowed(self) -> bool:
         return self.order is None
 
     @cached_property
-    def rows(self) -> list[list[int]]:
-        # compact live cosets to 0..n-1; no live entry names a dead coset
+    def _compact_columns(self) -> list[list[int]]:
+        # live cosets renumbered 0..n-1, one column per letter; the per-coset
+        # work runs in C.  An entry that is UNDEF or names a dead coset reads
+        # UNDEF: the slot one past the last coset is never a coset.
         live = [c for c, p in enumerate(self.parent) if p == c]
-        index = [UNDEF] * len(self.parent)
+        index = [UNDEF] * (len(self.parent) + 1)
         for i, c in enumerate(live):
             index[c] = i
-        # one lazy column per letter, transposed by zip: the per-coset work
-        # runs in C
-        columns = [map(index.__getitem__, map(column.__getitem__, live)) for column in self.columns]
-        return list(map(list, zip(*columns)))
+        return [list(map(index.__getitem__, map(column.__getitem__, live))) for column in self.columns]
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        return list(map(list, zip(*self._compact_columns)))
 
     def __eq__(self, other):
         if not isinstance(other, CosetTable):
@@ -122,6 +148,64 @@ class CosetTable:
                 raise ValueError(f"letter {x} is beyond rank {rank}")
             coset = rows[coset][letter_index(x)]
         return coset
+
+    def permutation(self, w: Word) -> list[int]:
+        """The image of every coset under a word, indexed by coset
+        as in ``rows``, composed column by column without building ``rows``.
+
+        Raises ValueError on an incomplete (overflowed) table and a letter
+        beyond the table's rank.
+        """
+        if self.overflowed:
+            raise ValueError("cannot trace in an incomplete coset table: the enumeration overflowed")
+        columns = self._compact_columns
+        rank = len(columns) // 2
+        perm = list(range(self.order))
+        for x in w:
+            if not 0 < abs(x) <= rank:
+                raise ValueError(f"letter {x} is beyond rank {rank}")
+            perm = list(map(columns[letter_index(x)].__getitem__, perm))
+        return perm
+
+    def fixes(self, w: Word) -> bool:
+        """True when the word maps every coset to itself.
+
+        A word fixes every coset exactly when its cyclic core does, and a
+        core v^k exactly when the k-th power of v's permutation is the
+        identity, which is taken by repeated squaring: the fourth power of a
+        base of n letters costs n + 2 compositions, not 4n.
+        """
+        core = cyclic_reduce(w)[0]
+        root, k = primitive_root(core) if core else (core, 1)
+        perm = self.permutation(root)
+        power = None
+        while True:
+            if k & 1:
+                power = perm if power is None else list(map(perm.__getitem__, power))
+            k >>= 1
+            if not k:
+                return power == list(range(len(power)))
+            perm = list(map(perm.__getitem__, perm))
+
+    def certifies(self, pres: Presentation) -> bool:
+        """True when the table is a coset table of its subgroup in the group
+        that ``pres`` presents: complete, a permutation action (each letter's
+        column undone by its inverse's), with every relator of the scan list
+        fixing every coset and every subgroup generator fixing coset 0.
+        Relators left out of the scan list are implied by those kept."""
+        if self.overflowed:
+            return False
+        columns = self._compact_columns
+        identity = list(range(self.order))
+        return (
+            not any(UNDEF in column for column in columns)
+            and all(
+                list(map(inverse.__getitem__, column)) == identity
+                for column, inverse in zip(columns[::2], columns[1::2])
+            )
+            and all(map(self.fixes, _scan_list(pres.relators)))
+            and all(self.permutation(h)[0] == 0 for h in self.subgroup)
+        )
 
 
 def _scan_list(relators: tuple[Word, ...]) -> list[Word]:
@@ -159,17 +243,20 @@ class _Enumerator:
     the pairs and relator tuples alias the columns, so none is ever rebound.
     """
 
-    def __init__(self, pres: Presentation, max_cosets: int):
+    def __init__(self, pres: Presentation, max_cosets: int, subgroup: tuple[Word, ...] = ()):
         self.cols: list[list[int]] = [[UNDEF, UNDEF] for _ in range(2 * pres.alphabet.rank)]
         # (column, inverse) of each letter, in letter-index order
         self.pairs = tuple((column, self.cols[k ^ 1]) for k, column in enumerate(self.cols))
-        self.relators = [
-            tuple(zip(*(self.pairs[letter_index(x)] for x in r))) for r in _scan_list(pres.relators)
-        ]
+        self.subgroup = [self.walk(h) for h in subgroup]
+        self.relators = [self.walk(r) for r in _scan_list(pres.relators)]
         self.max_cosets = max_cosets
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
         self.coincidences = 0  # cosets merged away, so len(parent) - coincidences are live
         self.live_peak = 1  # taken where the live count stops rising: entering coincidence, ending run
+
+    def walk(self, w: Word) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        """The ``(fwd, inv)`` column tuples of a word."""
+        return tuple(zip(*(self.pairs[letter_index(x)] for x in w)))
 
     def define(self, c: int, column: list[int], inverse: list[int]) -> int:
         d = len(self.parent)
@@ -264,6 +351,16 @@ class _Enumerator:
         parent = self.parent
         c = 0
         try:
+            # HLT's start: each subgroup generator is scanned from coset 0,
+            # which stays live, being the least coset
+            for fwd, inv in self.subgroup:
+                f = 0
+                for column in fwd:
+                    f = column[f]
+                if f < 0:
+                    self.scan_and_fill(0, fwd, inv)
+                elif f:
+                    self.coincidence(f, 0)
             while c < len(parent):
                 if parent[c] == c:
                     for fwd, inv in self.relators:
@@ -291,22 +388,82 @@ class _Overflow(Exception):
     pass
 
 
-def enumerate_cosets(pres: Presentation, max_cosets: int = MAX_COSETS) -> CosetTable:
-    """Enumerate cosets of the trivial subgroup.
+def enumerate_cosets(
+    pres: Presentation, max_cosets: int = MAX_COSETS, subgroup: tuple[Word, ...] = ()
+) -> CosetTable:
+    """Enumerate the cosets of the subgroup generated by the ``subgroup``
+    words, the trivial subgroup by default.
 
-    Returns the group order on success; an overflow result (order None) when
-    more than ``max_cosets`` cosets would need to be defined.  The order is
-    the live count, ``len(parent) - coincidences``; the row table is built
-    only if ``rows`` is read.
+    Returns the index, which over the trivial subgroup is the group order,
+    on success; an overflow result (order None) when more than
+    ``max_cosets`` cosets would need to be defined.  The index is the live
+    count, ``len(parent) - coincidences``; the row table is built only if
+    ``rows`` is read.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    enum = _Enumerator(pres, max_cosets)
+    subgroup = tuple(subgroup)
+    _check_words(subgroup, pres.alphabet.rank, "subgroup generator")
+    enum = _Enumerator(pres, max_cosets, subgroup)
     try:
         enum.run()
     except _Overflow:
-        return CosetTable(None, len(enum.parent), enum.coincidences, enum.live_peak)
+        return CosetTable(None, len(enum.parent), enum.coincidences, enum.live_peak, subgroup=subgroup)
     defined = len(enum.parent)
     return CosetTable(
-        defined - enum.coincidences, defined, enum.coincidences, enum.live_peak, parent=enum.parent, columns=enum.cols
+        defined - enum.coincidences,
+        defined,
+        enum.coincidences,
+        enum.live_peak,
+        parent=enum.parent,
+        columns=enum.cols,
+        subgroup=subgroup,
     )
+
+
+def _letter_power(relators: tuple[Word, ...]) -> tuple[int, int]:
+    """(x, k): the generator x with the largest k, the gcd of the exponents of
+    the relators whose cyclic core is a power of x or x^-1, ties going to
+    the earlier generator; (0, 0) when no relator is such a power."""
+    exponents: dict[int, int] = {}
+    for r in relators:
+        core = cyclic_reduce(r)[0]
+        # a freely reduced word in x and x^-1 alone is a power of one of them
+        if core.count(core[0]) == len(core):
+            x = abs(core[0])
+            exponents[x] = gcd(exponents.get(x, 0), len(core))
+    return max(exponents.items(), key=lambda item: (item[1], -item[0]), default=(0, 0))
+
+
+def _cycle_lcm(perm: list[int]) -> int:
+    """The order of a permutation: the lcm of its cycle lengths."""
+    seen = [False] * len(perm)
+    order = 1
+    for start in range(len(perm)):
+        length, c = 0, start
+        while not seen[c]:
+            seen[c] = True
+            c = perm[c]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
+def group_order(pres: Presentation, max_cosets: int = MAX_COSETS) -> tuple[int | None, CosetTable]:
+    """The order of the presented group, or None when the enumeration
+    overflowed, and the complete or overflowed table it was read from.
+
+    The table is that of a certified cyclic subgroup <x> of order k, and the
+    order is its index times k, when some relator is a power of a letter and
+    the permutation of x on the table has order k (see the module
+    docstring); else it is the table of the trivial subgroup and the order is
+    its index.  Either run may define up to ``max_cosets`` cosets.
+    """
+    x, k = _letter_power(pres.relators)
+    if k:
+        table = enumerate_cosets(pres, max_cosets, ((x,),))
+        if not table.overflowed and _cycle_lcm(table.permutation((x,))) == k:
+            return table.order * k, table
+    table = enumerate_cosets(pres, max_cosets)
+    return table.order, table

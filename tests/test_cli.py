@@ -9,7 +9,7 @@ import pytest
 
 from powerproof import cli
 from powerproof.cli import main
-from powerproof.cosets import CosetTable, Presentation, enumerate_cosets
+from powerproof.cosets import CosetTable, Presentation, enumerate_cosets, group_order
 from powerproof.proofwords import ProofWord
 from powerproof.words import AB, parse_word as P
 
@@ -335,8 +335,22 @@ def test_order(tmp_path, capsys):
     rels.write_text("aa\nbb\nababab\n")
     code, out, err = run(capsys, "order", "--relators", str(rels))
     assert code == 0 and out.strip() == "6"
-    # the line starts with "cosets defined N", which the benchmark parses
-    assert err == "cosets defined 8, live peak 8, coincidences 2\n"
+    # the line starts with "cosets defined N", which the benchmark parses; the
+    # counts are those of the table over <a>, whose order 2 is certified
+    assert err == "cosets defined 4, live peak 4, coincidences 1, subgroup <a> of order 2, index 3\n"
+
+
+def test_order_refuses_a_table_that_fails_its_check(tmp_path, capsys, monkeypatch):
+    # a table of the Klein group handed back for S3: ababab moves its cosets
+    klein = Presentation(AB, (P("aa"), P("bb"), P("abab")))
+    monkeypatch.setattr(cli, "group_order", lambda pres, max_cosets: group_order(klein, max_cosets))
+    rels = tmp_path / "rels.w"
+    rels.write_text("aa\nbb\nababab\n")
+    code, out, err = run(capsys, "order", "--relators", str(rels))
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == (
+        "error: the coset table fails its check: a relator or subgroup generator moves a coset"
+    )
 
 
 def test_order_builds_no_row_table(tmp_path, capsys, monkeypatch):

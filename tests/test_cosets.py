@@ -1,17 +1,28 @@
+import dataclasses
 import hashlib
+import random
 from functools import lru_cache
 from itertools import permutations
+from operator import eq
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerproof.bracelets import enumerate_lyndon, enumerate_reduced_bracelets
-from powerproof.cosets import UNDEF, Presentation, _Enumerator, _Overflow, enumerate_cosets
+from powerproof.cosets import (
+    UNDEF,
+    Presentation,
+    _Enumerator,
+    _letter_power,
+    _Overflow,
+    enumerate_cosets,
+    group_order,
+)
 from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import distinct_presentation
-from powerproof.words import AB, Alphabet, parse_word as P, power, word_str
+from powerproof.words import AB, Alphabet, invert, parse_word as P, power, word_str
 
 from util import naive_scan_list, reference_enumerate_cosets
 
@@ -254,17 +265,19 @@ def test_padded_columns_absorb_gaps_and_name_no_dead_coset(pres, max_cosets):
         assert all(column[c] == UNDEF or enum.parent[column[c]] == column[c] for c in live)
 
 
+def benchmark_relators(order):
+    """The two benchmark presentations, in their canonical relator order: the
+    bundled proof's 13 distinct fourth powers (order 8192) and the fourth
+    powers of the 25 bracelets of length at most 4 (order 4096)."""
+    if order == 8192:
+        return distinct_presentation(e5_proof(), 4)
+    return [power(c.canonical, 4) for n in range(1, 5) for c in enumerate_reduced_bracelets(AB, n)]
+
+
 @lru_cache(maxsize=None)
 def canonical_table(order):
-    """The complete tables of the two benchmark presentations, in their
-    canonical relator order: the bundled proof's 13 distinct fourth powers
-    (order 8192) and the fourth powers of the 25 bracelets of length at most
-    4 (order 4096)."""
-    if order == 8192:
-        relators = distinct_presentation(e5_proof(), 4)
-    else:
-        relators = [power(c.canonical, 4) for n in range(1, 5) for c in enumerate_reduced_bracelets(AB, n)]
-    return enumerate_cosets(Presentation(AB, tuple(relators)))
+    """The complete trivial-subgroup table of a benchmark presentation."""
+    return enumerate_cosets(Presentation(AB, tuple(benchmark_relators(order))))
 
 
 @pytest.mark.parametrize(
@@ -300,15 +313,15 @@ def test_the_lyndon_4_table_certifies_e5_without_a_proof():
     # table is the regular action of B(2,4): a word is trivial there exactly
     # when it fixes a coset, and then it fixes every coset.
     relators = [power(c.canonical, 4) for n in range(1, 5) for c in enumerate_lyndon(AB, n)]
-    table = enumerate_cosets(Presentation(AB, tuple(relators)))
+    pres = Presentation(AB, tuple(relators))
+    table = enumerate_cosets(pres)
     assert (len(relators), table.order, table.cosets_defined) == (17, 4096, 11_851)
-    cosets = range(table.order)
     # a permutation action in which every relator holds: a complete table
-    assert all(sorted(column) == list(cosets) for column in zip(*table.rows))
-    assert all(table.trace(c, r) == c for r in relators for c in cosets)
+    assert table.certifies(pres)
+    assert all(map(table.fixes, relators))
     e5, e4 = engel_word(5), engel_word(4)
-    assert all(table.trace(c, e5) == c for c in cosets)
-    assert not any(table.trace(c, e4) == c for c in cosets)
+    assert table.fixes(e5)
+    assert not any(map(eq, table.permutation(e4), range(table.order)))
 
 
 def test_trace_rejects_an_incomplete_table():
@@ -330,3 +343,177 @@ def test_trace_rejects_a_coset_not_in_the_table():
     for coset in (-1, 6):
         with pytest.raises(ValueError, match="not in the table of order 6"):
             table.trace(coset, P("a"))
+
+
+def test_letter_power_takes_the_largest_gcd_and_the_earlier_generator():
+    cases = [
+        (("aa", "bb", "ababab"), (1, 2)),  # a tie goes to a
+        (("bbbb", "aaaa"), (1, 4)),
+        (("bbb", "aaaaaa", "AAAA"), (2, 3)),  # a's gcd is 2
+        (("BBBBBB", "bbbb", "aBaB"), (2, 2)),
+        (("baaaB", "abab"), (1, 3)),  # a conjugate of a^3
+        (("ab", "aB"), (0, 0)),
+    ]
+    for texts, expected in cases:
+        for order in permutations(texts):
+            assert _letter_power(pres(*order).relators) == expected
+
+
+def subgroups(rank):
+    """1-2 freely reduced subgroup generators of length 1-4."""
+    letters = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
+
+    @st.composite
+    def word(draw):
+        w = [draw(st.sampled_from(letters))]
+        for _ in range(draw(st.integers(0, 3))):
+            w.append(draw(st.sampled_from([x for x in letters if x != -w[-1]])))
+        return tuple(w)
+
+    return st.lists(word(), min_size=1, max_size=2).map(tuple)
+
+
+@settings(deadline=None)
+@given(st.data(), presentations(), st.sampled_from([3, 50, 300, 2000]))
+@example(None, pres("aa", "bb", "ababab"), 2000)
+def test_subgroup_enumeration_matches_the_reference_enumerator(data, pres, max_cosets):
+    # the subgroup's generators are scanned from coset 0 before the HLT loop,
+    # in the reference as in the library; a complete table certifies
+    subgroup = ((1,),) if data is None else data.draw(subgroups(pres.alphabet.rank))
+    table = enumerate_cosets(pres, max_cosets, subgroup)
+    assert table == reference_enumerate_cosets(pres, max_cosets, subgroup=subgroup)
+    if not table.overflowed:
+        assert table.certifies(pres)
+        assert all(table.permutation(h)[0] == 0 for h in subgroup)
+
+
+def test_subgroup_generators_are_checked():
+    with pytest.raises(ValueError, match="subgroup generators must be non-empty"):
+        enumerate_cosets(pres("aa"), 10, ((),))
+    with pytest.raises(ValueError, match="subgroup generator 'aA' is not freely reduced"):
+        enumerate_cosets(pres("aa"), 10, ((1, -1),))
+    with pytest.raises(ValueError, match="uses letters beyond rank 1"):
+        enumerate_cosets(pres("aa", rank=1), 10, ((2,),))
+
+
+# One presentation per path of group_order, with (order, index, subgroup):
+# certified over <a>; a fallback because the lcm of x's cycles is less than
+# k, with b chosen (k = 4, index 1) and with a central a of order 3; rank 1,
+# index 1; no letter power; both runs overflowing.
+GROUP_ORDER_PATHS = [
+    (pres("aa", "bb", "ababab"), 2000, (6, 3, ((1,),))),
+    (pres("aaa", "bbb", "abab"), 5, (12, 4, ((1,),))),
+    (pres("aaa", "bbbb", "abab", "abAB"), 2000, (2, 2, ())),
+    (pres("aaaaaa", "AAA", "aaa", "bb", "abAB", "BAba"), 2000, (6, 6, ())),
+    (pres("aaaa", rank=1), 2000, (4, 4, ())),
+    (pres("ab", "aB"), 2000, (2, 2, ())),
+    (pres("aaa", "bbb", "abab"), 3, (None, None, ())),
+]
+
+
+@pytest.mark.parametrize("presentation, max_cosets, expected", GROUP_ORDER_PATHS)
+def test_group_order_paths(presentation, max_cosets, expected):
+    order, table = group_order(presentation, max_cosets)
+    assert (order, table.order, table.subgroup) == expected
+
+
+def with_path_examples(test):
+    for presentation, max_cosets, _ in reversed(GROUP_ORDER_PATHS):
+        test = example(presentation, max_cosets)(test)
+    return test
+
+
+@settings(deadline=None)
+@given(presentations(), st.sampled_from([3, 50, 300, 2000]))
+@with_path_examples
+@with_examples(IMPLIED)
+def test_group_order_matches_the_trivial_enumeration(pres, max_cosets):
+    order, table = group_order(pres, max_cosets)
+    full = enumerate_cosets(pres, max_cosets)
+    if not full.overflowed:
+        assert order == full.order
+    if order is None:
+        # the subgroup run, if any, overflowed, and so did the fallback
+        assert table.overflowed and table == full
+    elif table.subgroup:
+        x, k = _letter_power(pres.relators)
+        assert table.subgroup == ((x,),) and order == table.order * k
+        assert table.certifies(pres)
+    else:
+        assert table == full and table.certifies(pres)
+
+
+def shuffled_benchmark_orders(seed):
+    """The relator orders of the benchmark's eight coset_order jobs: one
+    shuffle of each presentation per job, the 8192 one first."""
+    rng = random.Random(seed)
+    jobs = []
+    for _ in range(8):
+        for order in (8192, 4096):
+            relators = benchmark_relators(order)
+            rng.shuffle(relators)
+            jobs.append((order, relators))
+    return jobs
+
+
+def test_group_order_of_the_benchmark_presentations():
+    # canonical order first, with its counts, then the eight shuffles of seed
+    # 1: the subgroup is <a> of order 4 in every order
+    index = {8192: 2048, 4096: 1024}
+    canonical = [(order, benchmark_relators(order)) for order in (8192, 4096)]
+    counts = {}
+    for k, (order, relators) in enumerate(canonical + shuffled_benchmark_orders(1)):
+        presentation = Presentation(AB, tuple(relators))
+        found, table = group_order(presentation)
+        assert (found, table.order, table.subgroup) == (order, index[order], ((1,),))
+        assert table.certifies(presentation)
+        if k < 2:
+            counts[order] = (table.cosets_defined, table.live_peak, table.coincidences)
+    assert counts == {8192: (6_434, 2_379, 4_386), 4096: (2_994, 1_857, 1_970)}
+
+
+@settings(deadline=None)
+@given(presentations(), st.data())
+@example(pres("aa", "bb", "ababab"), None)
+def test_fixes_matches_trace(pres, data):
+    # a word's permutation, and its powers by squaring, against the row walk
+    table = enumerate_cosets(pres, 300)
+    if table.overflowed:
+        return
+    rank = pres.alphabet.rank
+    if data is None:
+        words = [P("ab"), P("abababab"), P("Aababa"), P("bab")]
+    else:
+        letters = st.sampled_from([g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)])
+        base = tuple(data.draw(st.lists(letters, min_size=0, max_size=5)))
+        u = tuple(data.draw(st.lists(letters, max_size=3)))
+        words = [base, power(base, data.draw(st.integers(1, 7))), u + base + invert(u)]
+    cosets = range(table.order)
+    for w in words:
+        assert table.permutation(w) == [table.trace(c, w) for c in cosets]
+        assert table.fixes(w) == all(table.trace(c, w) == c for c in cosets)
+
+
+def test_certifies_rejects_a_table_that_does_not_hold():
+    s3 = pres("aa", "bb", "ababab")
+    table = enumerate_cosets(s3)
+    assert table.certifies(s3)
+    # the table of another group: ababab moves a coset of the Klein group's
+    assert not enumerate_cosets(pres("aa", "bb", "abab")).certifies(s3)
+    # a subgroup generator that moves coset 0
+    assert not dataclasses.replace(table, subgroup=((2,),)).certifies(s3)
+    # a column that is no permutation, and one with a gap, at coset 0
+    for k, entry in ((0, 0), (2, UNDEF)):
+        broken = dataclasses.replace(table, columns=[list(column) for column in table.columns])
+        broken.columns[k][0] = entry
+        assert not broken.certifies(s3)
+    assert not enumerate_cosets(pres("aa"), 50).certifies(pres("aa"))
+
+
+def test_permutation_rejects_an_incomplete_table_and_a_letter_beyond_the_rank():
+    with pytest.raises(ValueError, match="incomplete"):
+        enumerate_cosets(pres("aa"), max_cosets=50).fixes(P("a"))
+    table = enumerate_cosets(pres("aa", "bb", "ababab"))
+    with pytest.raises(ValueError, match="beyond rank 2"):
+        table.permutation((1, 3))
+    assert table.permutation(()) == list(range(6)) and table.fixes(())

@@ -109,10 +109,11 @@ def naive_scan_list(relators: tuple[Word, ...]) -> list[Word]:
 
 
 class _RowMajorEnumerator:
-    def __init__(self, pres: Presentation, max_cosets: int, scan_all: bool):
+    def __init__(self, pres: Presentation, max_cosets: int, scan_all: bool, subgroup: tuple[Word, ...]):
         self.ncols = 2 * pres.alphabet.rank
         relators = pres.relators if scan_all else naive_scan_list(pres.relators)
         self.relators = [tuple(letter_index(x) for x in r) for r in relators]
+        self.subgroup = [tuple(letter_index(x) for x in h) for h in subgroup]
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.ncols]
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
@@ -194,6 +195,8 @@ class _RowMajorEnumerator:
             i += 1
 
     def run(self) -> None:
+        for cols in self.subgroup:
+            self.scan_and_fill(0, cols)
         c = 0
         while c < len(self.table):
             if self.parent[c] == c:
@@ -213,25 +216,31 @@ class _Overflow(Exception):
 
 
 def reference_enumerate_cosets(
-    pres: Presentation, max_cosets: int = 2_000_000, scan_all: bool = False
+    pres: Presentation, max_cosets: int = 2_000_000, scan_all: bool = False, subgroup: tuple[Word, ...] = ()
 ) -> CosetTable:
-    """HLT enumeration on a row-major table, one row list per coset, every
-    relator of ``naive_scan_list`` (of every relator, with ``scan_all``)
-    scanned by ``scan_and_fill``, the live count checked after every
-    definition: the reference that the library's column-major enumerator
-    must match coset for coset and counter for counter.
+    """HLT enumeration on a row-major table, one row list per coset: each
+    ``subgroup`` word scanned from coset 0 first, then every relator of
+    ``naive_scan_list`` (of every relator, with ``scan_all``) scanned by
+    ``scan_and_fill``, the live count checked after every definition: the
+    reference that the library's column-major enumerator must match coset
+    for coset and counter for counter.
 
-    Returns the group order on success; an overflow result (order None) when
-    more than ``max_cosets`` cosets would need to be defined.
+    Returns the index of the subgroup (the group order over the trivial
+    subgroup) on success; an overflow result (order None) when more than
+    ``max_cosets`` cosets would need to be defined.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
-    enum = _RowMajorEnumerator(pres, max_cosets, scan_all)
+    enum = _RowMajorEnumerator(pres, max_cosets, scan_all, subgroup)
     try:
         enum.run()
     except _Overflow:
         return CosetTable(
-            order=None, cosets_defined=len(enum.table), coincidences=enum.coincidences, live_peak=enum.live_peak
+            order=None,
+            cosets_defined=len(enum.table),
+            coincidences=enum.coincidences,
+            live_peak=enum.live_peak,
+            subgroup=subgroup,
         )
     # compact live cosets to 0..n-1
     index = {}
@@ -246,6 +255,7 @@ def reference_enumerate_cosets(
         live_peak=enum.live_peak,
         parent=list(range(len(index))),
         columns=columns,
+        subgroup=subgroup,
     )
 
 
