@@ -3,13 +3,14 @@
 Every subcommand is a thin shell over the library.  Results go to stdout;
 diagnostics (timings, search counters) go to stderr so outputs stay
 pipeable.  Exit codes: 0 success/valid/found, 1 invalid/not-found, a domain
-error or an interrupt (Ctrl-C), 2 usage error.  Every subcommand that reads
-words takes --rank, the number of generators (default 2).
+error, an interrupt (Ctrl-C) or a closed stdout, 2 usage error.  Every
+word-reading subcommand takes --rank, the number of generators (default 2).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from typing import Iterable
@@ -171,11 +172,7 @@ def _cmd_order(args) -> int:
         print("OVERFLOW")
         return 1
     if not table.certifies(pres):
-        print(
-            "error: the coset table fails its check: a relator or subgroup generator moves a coset",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError("the coset table fails its check: a relator or subgroup generator moves a coset")
     print(order)
     return 0
 
@@ -295,7 +292,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: say nothing, and let the flush at exit write to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

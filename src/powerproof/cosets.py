@@ -26,17 +26,16 @@ k = 1 and the other relator comes first: it lies in the normal closure of
 the other, so the group is the same, and its walks would only repeat the
 other's.  ``Presentation.relators`` keeps every relator.
 
-The table is stored by column, one list per letter, padded so that a gap
-absorbs a walk: ``_Enumerator.run`` walks each relator with no test per letter
-and hands only a walk that ended in a gap to ``scan_and_fill``.  Both paths
-visit cosets and relators in the same HLT order, so the definitions, the count
-of cosets defined and the compacted table are those of a row-per-coset table
-over the same scan list.  ``_Enumerator.coincidence`` runs its finds and
-unions inline, with no call per deduction.  The result keeps the parent list
-and columns, and compacts them into rows only when ``CosetTable.rows`` is
-first read, so ``order`` builds no row table: the compaction renumbers the
-live cosets one column at a time with ``map`` and transposes the columns into
-rows with ``zip``.
+The enumerator stores its table by column, one list per letter, padded so
+that a gap absorbs a walk: ``_Enumerator.run`` walks each relator with no test
+per letter and hands only a walk that ended in a gap to ``scan_and_fill``.
+Both paths visit cosets and relators in the same HLT order, so the
+definitions, the count of cosets defined and the compacted table are those of
+a row-per-coset table over the same scan list.  ``_Enumerator.coincidence``
+runs its finds and unions inline, with no call per deduction.  A complete run
+is compacted once, its live cosets renumbered with ``map``, and the
+``CosetTable`` stores only those columns: ``rows`` is a transpose derived on
+first read, which ``order`` never builds.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
-from operator import attrgetter
 
 from .bracelets import bracelet_canon, primitive_root
 from .words import Alphabet, Word, cyclic_reduce, is_freely_reduced, letter_index, word_str
@@ -76,10 +74,7 @@ def _check_words(words: tuple[Word, ...], rank: int, kind: str) -> None:
             raise ValueError(f"{kind} {word_str(r)!r} is not freely reduced")
 
 
-_COMPARED = attrgetter("order", "cosets_defined", "coincidences", "live_peak", "subgroup", "rows")
-
-
-@dataclass(eq=False)
+@dataclass
 class CosetTable:
     """Result of an enumeration run over the subgroup generated by
     ``subgroup``, trivial when it is empty.
@@ -90,81 +85,62 @@ class CosetTable:
     ``live_peak`` the most cosets live at once; on a complete table
     ``coincidences == cosets_defined - order``.
 
-    A complete table keeps the enumerator's union-find ``parent`` list (a
-    coset c is live iff ``parent[c] == c``) and its ``columns``, one per
-    letter and indexed by coset.  The compacted columns derive from them on
-    first use, and ``rows`` from those on first read: the compacted action
-    table, ``rows[c][letter_index(g)]`` the coset reached from c by g, with
-    coset 0 the subgroup coset; it is empty on an overflowed table.  Tables
-    are equal when their counts, subgroups and rows are.
+    ``columns`` is the one stored table: the compacted action of a complete
+    run, ``columns[letter_index(g)][c]`` the coset reached from c by g, with
+    coset 0 the subgroup coset; it is empty on an overflowed table.  ``rows``
+    is its transpose, ``rows[c][letter_index(g)]``, derived on first read.
+    Tables are equal when their counts, subgroups and columns are.
     """
 
     order: int | None
     cosets_defined: int
     coincidences: int = 0
     live_peak: int = 0
-    parent: list[int] = field(default_factory=list, repr=False)
-    columns: list[list[int]] = field(default_factory=list, repr=False)
     subgroup: tuple[Word, ...] = ()
+    columns: list[list[int]] = field(default_factory=list, repr=False)
 
     @property
     def overflowed(self) -> bool:
         return self.order is None
 
     @cached_property
-    def _compact_columns(self) -> list[list[int]]:
-        # live cosets renumbered 0..n-1, one column per letter; the per-coset
-        # work runs in C.  An entry that is UNDEF or names a dead coset reads
-        # UNDEF: the slot one past the last coset is never a coset.
-        live = [c for c, p in enumerate(self.parent) if p == c]
-        index = [UNDEF] * (len(self.parent) + 1)
-        for i, c in enumerate(live):
-            index[c] = i
-        return [list(map(index.__getitem__, map(column.__getitem__, live))) for column in self.columns]
-
-    @cached_property
     def rows(self) -> list[list[int]]:
-        return list(map(list, zip(*self._compact_columns)))
+        return list(map(list, zip(*self.columns)))
 
-    def __eq__(self, other):
-        if not isinstance(other, CosetTable):
-            return NotImplemented
-        return _COMPARED(self) == _COMPARED(other)
+    def _letter_columns(self, w: Word) -> list[list[int]]:
+        """The columns of a word's letters, in order.  Raises ValueError on
+        an incomplete (overflowed) table and a letter beyond its rank."""
+        if self.overflowed:
+            raise ValueError("cannot trace in an incomplete coset table: the enumeration overflowed")
+        rank = len(self.columns) // 2
+        for x in w:
+            if not 0 < abs(x) <= rank:
+                raise ValueError(f"letter {x} is beyond rank {rank}")
+        return [self.columns[letter_index(x)] for x in w]
 
     def trace(self, coset: int, w: Word) -> int:
         """Image of a coset under a word.
 
-        Raises ValueError on an incomplete (overflowed) table, a coset not
-        in the table and a letter beyond the table's rank.
+        Raises ValueError on an incomplete (overflowed) table, a letter
+        beyond the table's rank and a coset not in the table.
         """
-        rows = self.rows
-        if not rows:
-            raise ValueError("cannot trace in an incomplete coset table: the enumeration overflowed")
-        if not 0 <= coset < len(rows):
-            raise ValueError(f"coset {coset} is not in the table of order {len(rows)}")
-        rank = len(rows[0]) // 2
-        for x in w:
-            if not 0 < abs(x) <= rank:
-                raise ValueError(f"letter {x} is beyond rank {rank}")
-            coset = rows[coset][letter_index(x)]
+        columns = self._letter_columns(w)
+        if not 0 <= coset < self.order:
+            raise ValueError(f"coset {coset} is not in the table of order {self.order}")
+        for column in columns:
+            coset = column[coset]
         return coset
 
     def permutation(self, w: Word) -> list[int]:
-        """The image of every coset under a word, indexed by coset
-        as in ``rows``, composed column by column without building ``rows``.
+        """The image of every coset under a word, indexed by coset.
 
         Raises ValueError on an incomplete (overflowed) table and a letter
         beyond the table's rank.
         """
-        if self.overflowed:
-            raise ValueError("cannot trace in an incomplete coset table: the enumeration overflowed")
-        columns = self._compact_columns
-        rank = len(columns) // 2
+        columns = self._letter_columns(w)
         perm = list(range(self.order))
-        for x in w:
-            if not 0 < abs(x) <= rank:
-                raise ValueError(f"letter {x} is beyond rank {rank}")
-            perm = list(map(columns[letter_index(x)].__getitem__, perm))
+        for column in columns:
+            perm = list(map(column.__getitem__, perm))
         return perm
 
     def fixes(self, w: Word) -> bool:
@@ -195,7 +171,7 @@ class CosetTable:
         Relators left out of the scan list are implied by those kept."""
         if self.overflowed:
             return False
-        columns = self._compact_columns
+        columns = self.columns
         identity = list(range(self.order))
         return (
             not any(UNDEF in column for column in columns)
@@ -208,26 +184,26 @@ class CosetTable:
         )
 
 
+def _root_powers(relators: tuple[Word, ...]) -> list[tuple[Word, int]]:
+    """(root, k) for each relator: its cyclic core is v^k with v primitive,
+    and root is v's bracelet class, a rotation of v or of v^-1."""
+    roots = [primitive_root(cyclic_reduce(r)[0]) for r in relators]
+    return [(bracelet_canon(v), k) for v, k in roots]
+
+
 def _scan_list(relators: tuple[Word, ...]) -> list[Word]:
     """The relators that the enumerator scans, in their given order: each
-    core is keyed by the bracelet class of its primitive root and its power,
-    and a relator is left out when another's core has the same root and a
-    power that properly divides its own, or when an earlier one has the same
-    key."""
-    keys = []
+    core is keyed by its root and power, and a relator is left out when
+    another's core has the same root and a power that properly divides its
+    own, or when an earlier one has the same key."""
+    keys = _root_powers(relators)
     powers: dict[Word, set[int]] = {}
-    for r in relators:
-        v, k = primitive_root(cyclic_reduce(r)[0])
-        root = bracelet_canon(v)
-        keys.append((root, k))
+    for root, k in keys:
         powers.setdefault(root, set()).add(k)
-    seen = set()
-    kept = []
-    for r, (root, k) in zip(relators, keys):
-        if (root, k) not in seen and not any(k % j == 0 for j in powers[root] if j < k):
-            kept.append(r)
-        seen.add((root, k))
-    return kept
+    first: dict[tuple[Word, int], Word] = {}
+    for r, key in zip(relators, keys):
+        first.setdefault(key, r)
+    return [r for (root, k), r in first.items() if not any(k % j == 0 for j in powers[root] if j < k)]
 
 
 class _Enumerator:
@@ -396,9 +372,8 @@ def enumerate_cosets(
 
     Returns the index, which over the trivial subgroup is the group order,
     on success; an overflow result (order None) when more than
-    ``max_cosets`` cosets would need to be defined.  The index is the live
-    count, ``len(parent) - coincidences``; the row table is built only if
-    ``rows`` is read.
+    ``max_cosets`` cosets would need to be defined.  A complete table is
+    compacted once, here, into its ``columns``.
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be positive")
@@ -409,16 +384,14 @@ def enumerate_cosets(
         enum.run()
     except _Overflow:
         return CosetTable(None, len(enum.parent), enum.coincidences, enum.live_peak, subgroup=subgroup)
-    defined = len(enum.parent)
-    return CosetTable(
-        defined - enum.coincidences,
-        defined,
-        enum.coincidences,
-        enum.live_peak,
-        parent=enum.parent,
-        columns=enum.cols,
-        subgroup=subgroup,
-    )
+    # the live cosets renumbered 0..n-1, the per-coset work in C; an entry
+    # that is UNDEF or names a dead coset reads UNDEF, which certifies rejects
+    live = [c for c, p in enumerate(enum.parent) if p == c]
+    index = [UNDEF] * (len(enum.parent) + 1)
+    for i, c in enumerate(live):
+        index[c] = i
+    columns = [list(map(index.__getitem__, map(column.__getitem__, live))) for column in enum.cols]
+    return CosetTable(len(live), len(enum.parent), enum.coincidences, enum.live_peak, subgroup, columns)
 
 
 def _letter_power(relators: tuple[Word, ...]) -> tuple[int, int]:
@@ -426,12 +399,9 @@ def _letter_power(relators: tuple[Word, ...]) -> tuple[int, int]:
     the relators whose cyclic core is a power of x or x^-1, ties going to
     the earlier generator; (0, 0) when no relator is such a power."""
     exponents: dict[int, int] = {}
-    for r in relators:
-        core = cyclic_reduce(r)[0]
-        # a freely reduced word in x and x^-1 alone is a power of one of them
-        if core.count(core[0]) == len(core):
-            x = abs(core[0])
-            exponents[x] = gcd(exponents.get(x, 0), len(core))
+    for root, k in _root_powers(relators):
+        if len(root) == 1:  # bracelet_canon names the class of x^-1 by x
+            exponents[root[0]] = gcd(exponents.get(root[0], 0), k)
     return max(exponents.items(), key=lambda item: (item[1], -item[0]), default=(0, 0))
 
 

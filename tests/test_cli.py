@@ -318,6 +318,38 @@ def test_interrupt_exits_1_without_traceback(monkeypatch, capsys):
     assert code == 1 and out == "" and err == "error: interrupted\n"
 
 
+class _ClosedPipe:
+    """A stdout whose reader has gone: ``failing`` ("write" or "flush")
+    raises BrokenPipeError, as on a pipe written unbuffered or buffered."""
+
+    def __init__(self, fd, failing):
+        self.fd, self.failing = fd, failing
+
+    def write(self, text):
+        if self.failing == "write":
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+    def flush(self):
+        if self.failing == "flush":
+            raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+def test_a_closed_stdout_exits_1_and_prints_nothing(tmp_path, capsys, monkeypatch, failing):
+    with open(tmp_path / "stdout", "w") as f:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(f.fileno(), failing))
+        code = main(["stats", "--proof", FIXTURE, "--exponent", "4"])
+        # the stream's descriptor now writes to devnull, so the flush at exit
+        # cannot raise again
+        redirected = os.path.samestat(os.fstat(f.fileno()), os.stat(os.devnull))
+    assert code == 1 and redirected
+    assert capsys.readouterr().err == ""
+
+
 def test_search_not_found(tmp_path, capsys):
     target = tmp_path / "t.w"
     target.write_text("aaaa\n")
@@ -354,23 +386,28 @@ def test_order_refuses_a_table_that_fails_its_check(tmp_path, capsys, monkeypatc
 
 
 def test_order_builds_no_row_table(tmp_path, capsys, monkeypatch):
-    compactions = []
-    compact = CosetTable.rows.func
+    transposes = []
+    transpose = CosetTable.rows.func
 
     def spy(table):
-        compactions.append(table.order)
-        return compact(table)
+        transposes.append(table.order)
+        return transpose(table)
 
     monkeypatch.setattr(CosetTable, "rows", property(spy))
     rels = tmp_path / "rels.w"
     rels.write_text("aaaaaa\nAAA\naaa\nbb\nabAB\nBAba\n")
     code, out, err = run(capsys, "order", "--relators", str(rels))
     assert (code, out, err) == (0, "6\n", "cosets defined 6, live peak 6, coincidences 0\n")
-    assert compactions == []
-    # the spy sees the compaction when the rows are read
+    # nor does any other reader of the stored columns
+    klein = Presentation(AB, (P("aa"), P("bb"), P("abAB")))
+    table = enumerate_cosets(klein)
+    assert table.trace(0, P("ab")) == 3 and table.permutation(P("ab"))[0] == 3
+    assert table.fixes(P("abab")) and table.certifies(klein)
+    assert transposes == []
+    # the spy sees the transpose only when the rows are read
     assert enumerate_cosets(Presentation(AB, (P("aa"),)), 10).rows == []
-    assert enumerate_cosets(Presentation(AB, (P("aa"), P("bb"), P("abAB")))).trace(0, P("ab")) == 3
-    assert compactions == [None, 4]
+    assert table.rows[0][0] == table.trace(0, P("a"))
+    assert transposes == [None, 4]
 
 
 def test_order_names_a_relator_that_reduces_to_nothing(tmp_path, capsys):

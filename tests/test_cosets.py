@@ -21,10 +21,11 @@ from powerproof.cosets import (
 )
 from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof
-from powerproof.proofwords import distinct_presentation
-from powerproof.words import AB, Alphabet, invert, parse_word as P, power, word_str
+from powerproof.proofwords import distinct_presentation, flatten, symmetrize, verify
+from powerproof.search import SearchConfig, reconstruct, search
+from powerproof.words import AB, Alphabet, cyclic_reduce, free_reduce, invert, parse_word as P, power, word_str
 
-from util import naive_scan_list, reference_enumerate_cosets
+from util import naive_scan_list, random_proof, random_reduced_word, reference_enumerate_cosets
 
 
 def pres(*texts, rank=2):
@@ -322,6 +323,53 @@ def test_the_lyndon_4_table_certifies_e5_without_a_proof():
     e5, e4 = engel_word(5), engel_word(4)
     assert table.fixes(e5)
     assert not any(map(eq, table.permutation(e4), range(table.order)))
+
+
+def power_table(alphabet, bases, e):
+    """The relator set of the bases' e-th powers, and the table of the group
+    that those powers present, enumerated with at most 2,000 cosets."""
+    relators = symmetrize(bases, e)
+    return relators, enumerate_cosets(Presentation(alphabet, tuple(power(b, e) for b in relators.bases)), 2000)
+
+
+@st.composite
+def power_tables(draw):
+    """A power_table kept small: rank 1-3, e from 2 to 5 - rank, and as bases
+    the letters, the bracelets of length 2 less a drawn subset, and up to
+    three more words of length 2-4."""
+    rank = draw(st.integers(1, 3))
+    e = draw(st.integers(2, 5 - rank))
+    alphabet = Alphabet(rank)
+    letters = [g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)]
+    pairs = [c.canonical for c in enumerate_reduced_bracelets(alphabet, 2)]
+    dropped = draw(st.sets(st.sampled_from(pairs)))
+    extra = draw(st.lists(st.lists(st.sampled_from(letters), min_size=2, max_size=4), max_size=3))
+    bases = [(g,) for g in range(1, rank + 1)] + [w for w in pairs if w not in dropped]
+    bases += [core for w in extra if (core := cyclic_reduce(free_reduce(w))[0])]
+    return power_table(alphabet, bases, e)
+
+
+@settings(deadline=None)
+@given(power_tables(), st.randoms(use_true_random=False))
+@example(power_table(AB, [P("a"), P("b"), P("ab"), P("aB")], 3), random.Random(0))
+def test_the_proof_checker_and_the_coset_table_agree(setup, rng):
+    # a word that a valid proof flattens to is trivial in the group, so it
+    # fixes every coset; a search therefore finds no proof of a word that
+    # moves one, and a proof it finds verifies
+    relators, table = setup
+    if table.overflowed:
+        return
+    rank = len(table.columns) // 2
+    proof = random_proof(rng, relators, rng.randrange(1, 4), 3, rank)
+    word = flatten(proof)
+    assert verify(proof, word, relators=relators).valid
+    assert table.fixes(word)
+    target = word if word and rng.random() < 0.5 else random_reduced_word(rng, rng.randrange(1, 7), rank)
+    result = search(target, relators, SearchConfig(beam_width=20, max_moves=12))
+    if not table.fixes(target):
+        assert not result.found
+    elif result.found:
+        assert verify(reconstruct(result.log), target, relators=relators).valid
 
 
 def test_trace_rejects_an_incomplete_table():

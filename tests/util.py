@@ -253,7 +253,6 @@ def reference_enumerate_cosets(
         cosets_defined=len(enum.table),
         coincidences=enum.coincidences,
         live_peak=enum.live_peak,
-        parent=list(range(len(index))),
         columns=columns,
         subgroup=subgroup,
     )
@@ -282,15 +281,18 @@ def bracelet_bases(max_len: int) -> list[Word]:
     return [c.canonical for n in range(1, max_len + 1) for c in enumerate_reduced_bracelets(AB, n)]
 
 
-def random_proof(rng: random.Random, relators: RelatorSet, n_relators: int, conj_len: int) -> ProofWord:
+def random_proof(
+    rng: random.Random, relators: RelatorSet, n_relators: int, conj_len: int, rank: int = 2
+) -> ProofWord:
     """Valid-by-construction proof word for the target it flattens to.
 
-    Conjugator segments are random freely reduced words; the trailing
-    segment is the inverse of the rest, so the excision word is trivial.
+    Conjugator segments are random freely reduced words of the given rank;
+    the trailing segment is the inverse of the rest, so the excision word is
+    trivial.
     """
     members = sorted(relators.members)
     rels = tuple(rng.choice(members) for _ in range(n_relators))
-    conjs = [random_reduced_word(rng, rng.randrange(conj_len + 1)) for _ in range(n_relators)]
+    conjs = [random_reduced_word(rng, rng.randrange(conj_len + 1), rank) for _ in range(n_relators)]
     closing: list[int] = []
     for c in conjs:
         closing.extend(c)
