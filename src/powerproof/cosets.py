@@ -1,8 +1,8 @@
 """Coset enumeration, and group orders read from it.
 
-HLT-style Todd-Coxeter: the subgroup's generators are scanned from coset 0,
-then cosets are processed in definition order, every relator is scanned from
-every coset with gaps filled by new definitions, and coincidences are
+HLT-style Todd-Coxeter: cosets are processed in definition order, every
+relator is scanned from every coset, coset 0 scanning the subgroup's
+generators first, with gaps filled by new definitions, and coincidences are
 resolved with a union-find over coset numbers.  When the enumeration
 completes, the live cosets carry a full action of the generators and their
 count is the index of the subgroup; over the trivial subgroup, the default,
@@ -24,7 +24,8 @@ A relator whose cyclic core is, up to rotation and inversion, a power v^k of
 another relator's core v is left out of the scan list when k >= 2, or when
 k = 1 and the other relator comes first: it lies in the normal closure of
 the other, so the group is the same, and its walks would only repeat the
-other's.  ``Presentation.relators`` keeps every relator.
+other's.  ``Presentation.relators`` keeps every relator; the scan list and
+the letter power belong to the presentation, worked out once on first use.
 
 The enumerator stores its table by column, one list per letter, padded so
 that a gap absorbs a walk: ``_Enumerator.run`` walks each relator with no test
@@ -54,13 +55,48 @@ MAX_COSETS = 2_000_000
 
 @dataclass(frozen=True)
 class Presentation:
-    """Finite presentation: alphabet plus freely reduced relator words."""
+    """Finite presentation: alphabet plus freely reduced relator words.
+
+    The scan list and the letter power, which the enumerator, ``certifies``
+    and ``group_order`` read, are derived once, on first use, so equality
+    and hashing never touch them."""
 
     alphabet: Alphabet
     relators: tuple[Word, ...]
 
     def __post_init__(self):
         _check_words(self.relators, self.alphabet.rank, "relator")
+
+    @cached_property
+    def _scan_list(self) -> tuple[tuple[Word, Word, int], ...]:
+        """(relator, root, k) for each relator the enumerator scans, in their
+        given order: its cyclic core is v^k with v primitive, and root is v's
+        bracelet class.  A relator is left out when another's core has the
+        same root and a power that properly divides its own, or when an
+        earlier one has the same root and power."""
+        first: dict[tuple[Word, int], Word] = {}
+        powers: dict[Word, set[int]] = {}
+        for r in self.relators:
+            v, k = primitive_root(cyclic_reduce(r)[0])
+            root = bracelet_canon(v)
+            first.setdefault((root, k), r)
+            powers.setdefault(root, set()).add(k)
+        return tuple(
+            (r, root, k) for (root, k), r in first.items() if not any(k % j == 0 for j in powers[root] if j < k)
+        )
+
+    @cached_property
+    def _letter_power(self) -> tuple[int, int]:
+        """(x, k): the generator x with the largest k, the gcd of the exponents
+        of the relators whose cyclic core is a power of x or x^-1, ties going
+        to the earlier generator; (0, 0) when no relator is such a power.
+        The scan list gives the same gcd as every relator: a relator left
+        out has the root of a kept one and a multiple of its power."""
+        exponents: dict[int, int] = {}
+        for _, root, k in self._scan_list:
+            if len(root) == 1:  # bracelet_canon names the class of x^-1 by x
+                exponents[root[0]] = gcd(exponents.get(root[0], 0), k)
+        return max(exponents.items(), key=lambda item: (item[1], -item[0]), default=(0, 0))
 
 
 def _check_words(words: tuple[Word, ...], rank: int, kind: str) -> None:
@@ -179,31 +215,9 @@ class CosetTable:
                 list(map(inverse.__getitem__, column)) == identity
                 for column, inverse in zip(columns[::2], columns[1::2])
             )
-            and all(map(self.fixes, _scan_list(pres.relators)))
+            and all(self.fixes(r) for r, _, _ in pres._scan_list)
             and all(self.permutation(h)[0] == 0 for h in self.subgroup)
         )
-
-
-def _root_powers(relators: tuple[Word, ...]) -> list[tuple[Word, int]]:
-    """(root, k) for each relator: its cyclic core is v^k with v primitive,
-    and root is v's bracelet class, a rotation of v or of v^-1."""
-    roots = [primitive_root(cyclic_reduce(r)[0]) for r in relators]
-    return [(bracelet_canon(v), k) for v, k in roots]
-
-
-def _scan_list(relators: tuple[Word, ...]) -> list[Word]:
-    """The relators that the enumerator scans, in their given order: each
-    core is keyed by its root and power, and a relator is left out when
-    another's core has the same root and a power that properly divides its
-    own, or when an earlier one has the same key."""
-    keys = _root_powers(relators)
-    powers: dict[Word, set[int]] = {}
-    for root, k in keys:
-        powers.setdefault(root, set()).add(k)
-    first: dict[tuple[Word, int], Word] = {}
-    for r, key in zip(relators, keys):
-        first.setdefault(key, r)
-    return [r for (root, k), r in first.items() if not any(k % j == 0 for j in powers[root] if j < k)]
 
 
 class _Enumerator:
@@ -224,7 +238,7 @@ class _Enumerator:
         # (column, inverse) of each letter, in letter-index order
         self.pairs = tuple((column, self.cols[k ^ 1]) for k, column in enumerate(self.cols))
         self.subgroup = [self.walk(h) for h in subgroup]
-        self.relators = [self.walk(r) for r in _scan_list(pres.relators)]
+        self.relators = [self.walk(r) for r, _, _ in pres._scan_list]
         self.max_cosets = max_cosets
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
         self.coincidences = 0  # cosets merged away, so len(parent) - coincidences are live
@@ -326,20 +340,13 @@ class _Enumerator:
     def run(self) -> None:
         parent = self.parent
         c = 0
+        # HLT's start: coset 0 scans the subgroup generators before the
+        # relators, and stays live, being the least coset
+        scans = self.subgroup + self.relators
         try:
-            # HLT's start: each subgroup generator is scanned from coset 0,
-            # which stays live, being the least coset
-            for fwd, inv in self.subgroup:
-                f = 0
-                for column in fwd:
-                    f = column[f]
-                if f < 0:
-                    self.scan_and_fill(0, fwd, inv)
-                elif f:
-                    self.coincidence(f, 0)
             while c < len(parent):
                 if parent[c] == c:
-                    for fwd, inv in self.relators:
+                    for fwd, inv in scans:
                         # a gap absorbs the walk, so only its end is tested
                         f = c
                         for column in fwd:
@@ -356,6 +363,7 @@ class _Enumerator:
                             if column[c] == UNDEF:
                                 self.define(c, column, inverse)
                 c += 1
+                scans = self.relators
         finally:
             self.live_peak = max(self.live_peak, len(parent) - self.coincidences)
 
@@ -394,17 +402,6 @@ def enumerate_cosets(
     return CosetTable(len(live), len(enum.parent), enum.coincidences, enum.live_peak, subgroup, columns)
 
 
-def _letter_power(relators: tuple[Word, ...]) -> tuple[int, int]:
-    """(x, k): the generator x with the largest k, the gcd of the exponents of
-    the relators whose cyclic core is a power of x or x^-1, ties going to
-    the earlier generator; (0, 0) when no relator is such a power."""
-    exponents: dict[int, int] = {}
-    for root, k in _root_powers(relators):
-        if len(root) == 1:  # bracelet_canon names the class of x^-1 by x
-            exponents[root[0]] = gcd(exponents.get(root[0], 0), k)
-    return max(exponents.items(), key=lambda item: (item[1], -item[0]), default=(0, 0))
-
-
 def _cycle_lcm(perm: list[int]) -> int:
     """The order of a permutation: the lcm of its cycle lengths."""
     seen = [False] * len(perm)
@@ -430,7 +427,7 @@ def group_order(pres: Presentation, max_cosets: int = MAX_COSETS) -> tuple[int |
     docstring); else it is the table of the trivial subgroup and the order is
     its index.  Either run may define up to ``max_cosets`` cosets.
     """
-    x, k = _letter_power(pres.relators)
+    x, k = pres._letter_power
     if k:
         table = enumerate_cosets(pres, max_cosets, ((x,),))
         if not table.overflowed and _cycle_lcm(table.permutation((x,))) == k:

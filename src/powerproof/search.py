@@ -361,18 +361,21 @@ def reduce_presentation(
 
     Each candidate is searched for as a target over the symmetrized set of
     the surviving bases; it is removed only when the reconstructed proof
-    passes verification, so the presented group never changes.
+    passes verification, so the presented group never changes.  Every
+    relator's base is worked out before the first search, so a relator that
+    is not an e-th power raises ValueError at once.
     """
     survivors = list(relators)
+    bases = [power_base(r, exponent) for r in survivors]
     i = 0
     while i < len(survivors):
         # only this occurrence is left out, so an exact twin may prove it
-        r, others = survivors[i], survivors[:i] + survivors[i + 1 :]
+        r, others = survivors[i], bases[:i] + bases[i + 1 :]
         if others:
-            active = symmetrize([power_base(s, exponent) for s in others], exponent)
+            active = symmetrize(others, exponent)
             result = search(r, active, config)
             if result.found and verify(reconstruct(result.log), r, relators=active).valid:
-                survivors = others
+                del survivors[i], bases[i]
                 continue
         i += 1
     return survivors

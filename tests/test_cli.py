@@ -7,11 +7,13 @@ import sys
 
 import pytest
 
-from powerproof import cli
+from powerproof import cli, cosets
+from powerproof.bracelets import bracelet_canon
 from powerproof.cli import main
 from powerproof.cosets import CosetTable, Presentation, enumerate_cosets, group_order
-from powerproof.proofwords import ProofWord
-from powerproof.words import AB, parse_word as P
+from powerproof.fixtures import e5_proof
+from powerproof.proofwords import ProofWord, distinct_presentation
+from powerproof.words import AB, parse_word as P, word_str
 
 FIXTURE = str(importlib.resources.files("powerproof").joinpath("data/e5_proof_26_powers.txt"))
 
@@ -408,6 +410,24 @@ def test_order_builds_no_row_table(tmp_path, capsys, monkeypatch):
     assert enumerate_cosets(Presentation(AB, (P("aa"),)), 10).rows == []
     assert table.rows[0][0] == table.trace(0, P("a"))
     assert transposes == [None, 4]
+
+
+def test_order_works_out_each_relator_class_once(tmp_path, capsys, monkeypatch):
+    # the presentation's scan list keys every relator once, and the letter
+    # power, the subgroup run and the certificate all read it
+    keyed = []
+
+    def spy(w):
+        keyed.append(w)
+        return bracelet_canon(w)
+
+    monkeypatch.setattr(cosets, "bracelet_canon", spy)
+    rels = tmp_path / "rels.w"
+    relators = distinct_presentation(e5_proof(), 4)
+    rels.write_text("".join(f"{word_str(r)}\n" for r in relators))
+    code, out, _ = run(capsys, "order", "--relators", str(rels))
+    assert (code, out) == (0, "8192\n")
+    assert len(relators) == len(keyed) == 13
 
 
 def test_order_names_a_relator_that_reduces_to_nothing(tmp_path, capsys):

@@ -1,0 +1,86 @@
+"""The oracles are tested too: each case puts one known defect into the
+library and checks that the named oracle, run on its explicit inputs only,
+rejects it.  The oracle first passes on the library as it is, so the
+failure is the defect's.  No Hypothesis search runs here."""
+
+import importlib
+import inspect
+
+import pytest
+
+import test_cosets
+import test_search
+from powerproof import cosets
+from powerproof.cosets import CosetTable, Presentation
+from powerproof.proofwords import ProofWord
+
+# the package's attribute ``search`` is the function, not the module
+search = importlib.import_module("powerproof.search")
+
+
+def explicit_examples(test):
+    """Run a property's @example inputs, and nothing else."""
+    for example in test.hypothesis_explicit_examples:
+        test.hypothesis.inner_test(*example.args, **example.kwargs)
+
+
+def test_certifies_that_skips_a_relator_is_rejected(monkeypatch):
+    oracle = test_cosets.test_certifies_rejects_a_table_that_does_not_hold
+    oracle()
+    certifies = CosetTable.certifies
+
+    def skipping(table, pres):
+        return certifies(table, Presentation(pres.alphabet, pres.relators[:-1]))
+
+    monkeypatch.setattr(CosetTable, "certifies", skipping)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_cycle_lcm_that_returns_k_is_rejected(monkeypatch):
+    # aaa bbbb abab abAB has order 2, but b has k = 4 and index 1 over <b>
+    presentation, max_cosets, expected = test_cosets.GROUP_ORDER_PATHS[2]
+    oracle = test_cosets.test_group_order_paths
+    oracle(presentation, max_cosets, expected)
+    monkeypatch.setattr(cosets, "_cycle_lcm", lambda perm: presentation._letter_power[1])
+    with pytest.raises(AssertionError):
+        oracle(presentation, max_cosets, expected)
+
+
+def test_beam_cutoff_one_too_low_is_rejected(monkeypatch):
+    # every word the beam builds is held to the cutoff less one: conjugations
+    # by their length, appends by the cancellation they need
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    source = inspect.getsource(search._beam_attempt)
+    assert source.count("> cutoff:") == 4 and source.count("- cutoff + 1) // 2") == 1
+    source = source.replace("> cutoff:", "> cutoff - 1:").replace("- cutoff + 1) // 2", "- cutoff + 2) // 2")
+    namespace = dict(vars(search))
+    exec(compile(source, search.__file__, "exec"), namespace)
+    monkeypatch.setattr(search, "_beam_attempt", namespace["_beam_attempt"])
+    with pytest.raises(AssertionError):
+        explicit_examples(oracle)
+
+
+def test_reconstruct_that_drops_the_trailing_conjugator_is_rejected(monkeypatch):
+    oracle = test_search.test_reconstruct_with_outer_conjugator
+    oracle()
+    reconstruct = search.reconstruct
+
+    def dropping(log):
+        proof = reconstruct(log)
+        return ProofWord(proof.conjugators[:-1] + ((),), proof.relators)
+
+    monkeypatch.setattr(test_search, "reconstruct", dropping)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_scan_list_that_drops_its_last_relator_is_rejected(monkeypatch):
+    oracle = test_cosets.test_skipped_relators_leave_the_order_unchanged.hypothesis.inner_test
+    oracle(test_cosets.A4_QUOTIENT, 2000)
+    scan_list = Presentation._scan_list.func
+    # a property, unlike the cached one, is not shadowed by a cached value
+    monkeypatch.setattr(Presentation, "_scan_list", property(lambda pres: scan_list(pres)[:-1]))
+    with pytest.raises(AssertionError):
+        oracle(test_cosets.A4_QUOTIENT, 2000)

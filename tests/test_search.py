@@ -431,6 +431,16 @@ def test_reduce_presentation_rotated_pair():
     assert P("aaaa") in out and P("bbbb") in out
 
 
+@pytest.mark.parametrize("relators", [[P("ab")], [P("ab"), P("aaaa")]])
+def test_reduce_presentation_checks_every_relator_before_searching(relators, monkeypatch):
+    module = importlib.import_module("powerproof.search")
+    searches = []
+    monkeypatch.setattr(module, "search", lambda *args: searches.append(args))
+    with pytest.raises(ValueError, match="relator 'ab' is not a power with exponent 4"):
+        reduce_presentation(relators, 4, SMALL)
+    assert searches == []
+
+
 def test_reduce_presentation_preserves_group():
     from powerproof.cosets import Presentation, enumerate_cosets
     from powerproof.proofwords import distinct_presentation
