@@ -37,12 +37,16 @@ def _read(path: str) -> str:
         return f.read()
 
 
-def _read_words_file(path: str, alphabet: Alphabet) -> list[Word]:
-    """One word per line; blank lines and '#' lines are skipped."""
+def _read_words_file(path: str, alphabet: Alphabet, kind: str) -> list[Word]:
+    """One word per line; blank lines and '#' lines are skipped.  A file with
+    no words raises: no bases is no search, and no relators the free group."""
     text = _read(path)
     # a bad character is reported by its line and column in the file
     parse_word(text, alphabet)
-    return [w for line in text.split("\n") if (w := parse_word(line, alphabet))]
+    words = [w for line in text.split("\n") if (w := parse_word(line, alphabet))]
+    if not words:
+        raise ValueError(f"{path} holds no {kind}")
+    return words
 
 
 def _target_word(args) -> Word:
@@ -78,9 +82,7 @@ def _cmd_bracelets(args) -> int:
 
 def _relator_set(args):
     if args.bases is not None:
-        bases = _read_words_file(args.bases, args.alphabet)
-        if not bases:
-            raise ValueError(f"{args.bases} holds no bases")
+        bases = _read_words_file(args.bases, args.alphabet, "bases")
     elif args.max_base_len is not None:
         bases = _base_classes(args.alphabet, range(1, args.max_base_len + 1), lyndon=False)
     elif args.lyndon_upto is not None:
@@ -122,9 +124,6 @@ def _cmd_fold(args) -> int:
 
 def _cmd_search(args) -> int:
     relators = _relator_set(args)
-    if relators is None:
-        print("error: search needs --bases, --max-base-len or --lyndon-upto", file=sys.stderr)
-        return 2
     target = _target_word(args)
     config = SearchConfig(
         beam_width=args.beam,
@@ -152,14 +151,11 @@ def _cmd_search(args) -> int:
 
 def _cmd_order(args) -> int:
     relators = []
-    for w in _read_words_file(args.relators, args.alphabet):
+    for w in _read_words_file(args.relators, args.alphabet, "relators"):
         r = free_reduce(w)
         if not r:
             raise ValueError(f"relator {word_str(w)!r} freely reduces to the empty word")
         relators.append(r)
-    if not relators:
-        # the free group: the enumeration would only run to the coset limit
-        raise ValueError(f"{args.relators} holds no relators")
     pres = Presentation(args.alphabet, tuple(relators))
     order, table = group_order(pres, args.max_cosets)
     # the counts of the table the order was read from
@@ -236,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
         g.add_argument("--target", help="file holding the target word")
         g.add_argument("--engel", type=_engel_index, help="use the n-th Engel word as target")
 
-    def add_bases(p):
-        g = p.add_mutually_exclusive_group()
+    def add_bases(p, required):
+        g = p.add_mutually_exclusive_group(required=required)
         g.add_argument("--bases", help="file of base words, one per line")
         g.add_argument(
             "--max-base-len", type=_positive_int, help="all reduced bracelets up to this length"
@@ -249,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_rank(p)
     add_target(p)
     p.add_argument("--exponent", type=_exponent, required=True)
-    add_bases(p)
+    add_bases(p, required=False)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("stats", help="proof word statistics")
@@ -267,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_target(p)
     add_rank(p)
     p.add_argument("--exponent", type=_exponent, required=True)
-    add_bases(p)
+    add_bases(p, required=True)
     defaults = SearchConfig()
     p.add_argument("--beam", type=_positive_int, default=defaults.beam_width)
     p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves)

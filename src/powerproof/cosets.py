@@ -16,16 +16,18 @@ k.  The permutation of x on the complete table is an image of <x>, so when
 the lcm of its cycle lengths is k, x has order exactly k and the group order
 is index * k.  Otherwise, and when no relator is a letter power or the
 subgroup run overflows, it enumerates over the trivial subgroup.
-``CosetTable.certifies`` checks a table independently of the enumerator:
-a complete permutation action in which every scanned relator fixes every
-coset and every subgroup generator fixes coset 0.
+``CosetTable.certifies`` checks a table independently of the enumerator,
+sharing not even its scan list: a complete permutation action in which every
+relator of the presentation fixes every coset and every subgroup generator
+fixes coset 0.
 
 A relator whose cyclic core is, up to rotation and inversion, a power v^k of
 another relator's core v is left out of the scan list when k >= 2, or when
 k = 1 and the other relator comes first: it lies in the normal closure of
 the other, so the group is the same, and its walks would only repeat the
-other's.  ``Presentation.relators`` keeps every relator; the scan list and
-the letter power belong to the presentation, worked out once on first use.
+other's.  ``Presentation.relators`` keeps every relator, and ``certifies``
+checks them all; the scan list and the letter power belong to the
+presentation, worked out once on first use.
 
 The enumerator stores its table by column, one list per letter, padded so
 that a gap absorbs a walk: ``_Enumerator.run`` walks each relator with no test
@@ -57,9 +59,9 @@ MAX_COSETS = 2_000_000
 class Presentation:
     """Finite presentation: alphabet plus freely reduced relator words.
 
-    The scan list and the letter power, which the enumerator, ``certifies``
-    and ``group_order`` read, are derived once, on first use, so equality
-    and hashing never touch them."""
+    The scan list and the letter power, which the enumerator and
+    ``group_order`` read, are derived once, on first use, so equality and
+    hashing never touch them."""
 
     alphabet: Alphabet
     relators: tuple[Word, ...]
@@ -202,9 +204,8 @@ class CosetTable:
     def certifies(self, pres: Presentation) -> bool:
         """True when the table is a coset table of its subgroup in the group
         that ``pres`` presents: complete, a permutation action (each letter's
-        column undone by its inverse's), with every relator of the scan list
-        fixing every coset and every subgroup generator fixing coset 0.
-        Relators left out of the scan list are implied by those kept."""
+        column undone by its inverse's), with every relator of ``pres``
+        fixing every coset and every subgroup generator fixing coset 0."""
         if self.overflowed:
             return False
         columns = self.columns
@@ -215,7 +216,7 @@ class CosetTable:
                 list(map(inverse.__getitem__, column)) == identity
                 for column, inverse in zip(columns[::2], columns[1::2])
             )
-            and all(self.fixes(r) for r, _, _ in pres._scan_list)
+            and all(self.fixes(r) for r in pres.relators)
             and all(self.permutation(h)[0] == 0 for h in self.subgroup)
         )
 

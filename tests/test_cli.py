@@ -77,12 +77,6 @@ def test_bracelets_of_length_1200(capsys):
     assert code == 0 and out == "1\n"
 
 
-def test_bracelets_rejects_length_below_one(capsys):
-    for argv in (["--len", "0", "--upto"], ["--len", "-3", "--upto", "--count"], ["--len", "0"]):
-        code, out, err = run(capsys, "bracelets", *argv)
-        assert code == 2 and out == "" and "--len" in err
-
-
 def test_bracelets_rejects_a_length_that_is_not_an_int(capsys):
     code, out, err = run(capsys, "bracelets", "--len", "x")
     assert code == 2 and out == "" and "argument --len: invalid int value: 'x'" in err
@@ -115,12 +109,8 @@ def bad_target(tmp_path):
 
 
 def test_verify_rejects_base_length_below_one(capsys):
-    # 0 used to skip the membership check and print VALID
-    code, out, err = run(
-        capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4",
-        "--max-base-len", "0",
-    )
-    assert code == 2 and out == "" and "--max-base-len" in err
+    # a length that leaves out bases of the proof fails the membership check;
+    # 0, which used to skip it, is a usage error (see the table below)
     code, out, _ = run(
         capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4",
         "--max-base-len", "2",
@@ -199,25 +189,16 @@ def test_search_refuses_a_proof_that_does_not_verify(monkeypatch, capsys):
     assert "error:" in err
 
 
-def test_search_rejects_lyndon_length_below_one(capsys):
-    code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "0")
-    assert code == 2 and out == "" and "--lyndon-upto" in err
-
-
 def test_search_without_bases_names_every_bases_option(capsys):
+    # argparse's message for its required group of three options
     code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3")
-    assert code == 2 and out == "" and err.startswith("error:")
+    assert code == 2 and out == ""
+    assert "powerproof search: error: one of the arguments" in err
     for option in ("--bases", "--max-base-len", "--lyndon-upto"):
         assert option in err
 
 
 SEARCH_E2 = ("search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3")
-
-
-def test_search_rejects_out_of_range_config(capsys):
-    for option, value in (("--restarts", "-1"), ("--base-subset", "0")):
-        code, out, err = run(capsys, *SEARCH_E2, option, value)
-        assert code == 2 and out == "" and f"argument {option}:" in err
 
 
 @pytest.mark.parametrize(
@@ -245,19 +226,22 @@ def test_search_rejects_out_of_range_config(capsys):
         (("search", "--engel", "1", "--exponent", "40000", "--lyndon-upto", "1"), "--exponent"),
         (("verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "65"), "--exponent"),
         (("stats", "--proof", FIXTURE, "--exponent", "65"), "--exponent"),
+        (("bracelets", "--len", "0", "--upto"), "--len"),
+        (("bracelets", "--len", "-3", "--upto", "--count"), "--len"),
+        (("bracelets", "--len", "0"), "--len"),
+        (("search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "0"), "--lyndon-upto"),
+        ((*SEARCH_E2, "--restarts", "-1"), "--restarts"),
+        ((*SEARCH_E2, "--base-subset", "0"), "--base-subset"),
+        # it used to report the valid fixture INVALID, every segment a bad relator
+        (("verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "0"), "--exponent"),
+        # it used to skip the membership check and print VALID
+        (("verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4", "--max-base-len", "0"), "--max-base-len"),
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, argv, option):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"argument {option}:" in err
-
-
-def test_verify_rejects_exponent_zero(capsys):
-    # it used to report the valid fixture INVALID, every segment a bad relator
-    code, out, err = run(capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "0")
-    assert code == 2 and out == ""
-    assert "argument --exponent:" in err
 
 
 def test_search_and_verify_at_rank_three(tmp_path, capsys):

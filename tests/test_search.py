@@ -388,6 +388,14 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 @example(bases=[(1, 1, 2)], exponent=5, factors=[((2,), 0), ((-1,), 7)], extra=(), width=4, depth=8)
 # a start shorter than the memo's tail, below the members' length 8
 @example(bases=[(1, 2)], exponent=4, factors=[], extra=(1, 2, 1), width=2, depth=4)
+# a rotation that lands exactly on the cutoff, which a beam of width 1 brings
+# down to the state's own length: a cutoff one too low never builds it
+@example(bases=[(2,)], exponent=1, factors=[], extra=(3,), width=1, depth=4)
+@example(bases=[(-3,)], exponent=3, factors=[], extra=(-3, -2), width=1, depth=4)
+# an append that lands exactly on the cutoff, found only at the level of the
+# cancellation the cutoff needs, not one above it
+@example(bases=[(-2, -3), (3, 3)], exponent=1, factors=[((1, 3), 1), ((3,), 2)], extra=(), width=5, depth=4)
+@example(bases=[(-3, -3, 1, -3, -3, 1), (-2, -3)], exponent=2, factors=[((3, 2, 3, -2), 7)], extra=(-1,), width=2, depth=3)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the length cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
