@@ -18,8 +18,9 @@ is index * k.  Otherwise, and when no relator is a letter power or the
 subgroup run overflows, it enumerates over the trivial subgroup.
 ``CosetTable.certifies`` checks a table independently of the enumerator,
 sharing not even its scan list: a complete permutation action in which every
-relator of the presentation fixes every coset and every subgroup generator
-fixes coset 0.
+relator fixes every coset, checked once per primitive root v of the cyclic
+cores as v to the gcd of their powers, and every subgroup generator fixes
+coset 0.  Whole columns are composed in C, each prefix of the roots once.
 
 A relator whose cyclic core is, up to rotation and inversion, a power v^k of
 another relator's core v is left out of the scan list when k >= 2, or when
@@ -46,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd, lcm
+from operator import itemgetter
 
 from .bracelets import bracelet_canon, primitive_root
 from .words import Alphabet, Word, cyclic_reduce, is_freely_reduced, letter_index, word_str
@@ -169,17 +171,28 @@ class CosetTable:
             coset = column[coset]
         return coset
 
+    def _walk(self, w: Word, memo: dict[Word, tuple[int, ...]]) -> tuple[int, ...]:
+        """The image of every coset under a word, as a tuple.  ``memo`` maps ()
+        to the identity, which an empty memo gains, and each prefix walked with
+        it to its permutation, so a prefix is composed once per memo."""
+        columns = self._letter_columns(w)
+        if not memo:
+            memo[()] = tuple(range(self.order))
+        perm = memo[()]
+        for i, column in enumerate(columns, 1):
+            prefix = w[:i]
+            if prefix not in memo:
+                memo[prefix] = _compose(perm, column)
+            perm = memo[prefix]
+        return perm
+
     def permutation(self, w: Word) -> list[int]:
         """The image of every coset under a word, indexed by coset.
 
         Raises ValueError on an incomplete (overflowed) table and a letter
         beyond the table's rank.
         """
-        columns = self._letter_columns(w)
-        perm = list(range(self.order))
-        for column in columns:
-            perm = list(map(column.__getitem__, perm))
-        return perm
+        return list(self._walk(w, {}))
 
     def fixes(self, w: Word) -> bool:
         """True when the word maps every coset to itself.
@@ -191,34 +204,46 @@ class CosetTable:
         """
         core = cyclic_reduce(w)[0]
         root, k = primitive_root(core) if core else (core, 1)
-        perm = self.permutation(root)
-        power = None
-        while True:
-            if k & 1:
-                power = perm if power is None else list(map(perm.__getitem__, power))
-            k >>= 1
-            if not k:
-                return power == list(range(len(power)))
-            perm = list(map(perm.__getitem__, perm))
+        memo: dict[Word, tuple[int, ...]] = {}
+        return _power(self._walk(root, memo), k) == memo[()]
 
     def certifies(self, pres: Presentation) -> bool:
         """True when the table is a coset table of its subgroup in the group
         that ``pres`` presents: complete, a permutation action (each letter's
         column undone by its inverse's), with every relator of ``pres``
-        fixing every coset and every subgroup generator fixing coset 0."""
+        fixing every coset and every subgroup generator fixing coset 0.  Cores
+        v^k1, ..., v^kn, v primitive, all fix every coset exactly when
+        v^gcd(k1, ..., kn) does; the roots share one prefix memo."""
         if self.overflowed:
             return False
         columns = self.columns
-        identity = list(range(self.order))
+        powers: dict[Word, int] = {}
+        for r in pres.relators:
+            v, k = primitive_root(cyclic_reduce(r)[0])
+            powers[v] = gcd(powers.get(v, 0), k)
+        identity = tuple(range(self.order))
+        memo = {(): identity}
         return (
             not any(UNDEF in column for column in columns)
-            and all(
-                list(map(inverse.__getitem__, column)) == identity
-                for column, inverse in zip(columns[::2], columns[1::2])
-            )
-            and all(self.fixes(r) for r in pres.relators)
-            and all(self.permutation(h)[0] == 0 for h in self.subgroup)
+            and all(_compose(column, inverse) == identity for column, inverse in zip(columns[::2], columns[1::2]))
+            and all(_power(self._walk(v, memo), k) == identity for v, k in powers.items())
+            and all(self.trace(0, h) == 0 for h in self.subgroup)
         )
+
+
+def _compose(perm: list[int] | tuple[int, ...], column: list[int]) -> tuple[int, ...]:
+    """The map c -> column[perm[c]]: perm, then column, cut in C."""
+    if len(perm) == 1:  # itemgetter of one item returns the bare entry
+        return (column[perm[0]],)
+    return itemgetter(*perm)(column)
+
+
+def _power(perm: tuple[int, ...], k: int) -> tuple[int, ...]:
+    """The k-th power of a permutation, k >= 1, by repeated squaring."""
+    if k == 1:
+        return perm
+    half = _power(_compose(perm, perm), k >> 1)
+    return _compose(half, perm) if k & 1 else half
 
 
 class _Enumerator:

@@ -398,7 +398,8 @@ def test_order_builds_no_row_table(tmp_path, capsys, monkeypatch):
 
 def test_order_works_out_each_relator_class_once(tmp_path, capsys, monkeypatch):
     # the presentation's scan list keys every relator once, and the letter
-    # power, the subgroup run and the certificate all read it
+    # power and the subgroup run read it; the certificate keys no class, its
+    # roots being primitive_root's as they come
     keyed = []
 
     def spy(w):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from powerproof import cosets
 from powerproof.bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from powerproof.cosets import (
     UNDEF,
@@ -24,7 +25,13 @@ from powerproof.proofwords import distinct_presentation, flatten, symmetrize, ve
 from powerproof.search import SearchConfig, reconstruct, search
 from powerproof.words import AB, Alphabet, cyclic_reduce, free_reduce, invert, parse_word as P, power, word_str
 
-from util import naive_scan_list, random_proof, random_reduced_word, reference_enumerate_cosets
+from util import (
+    naive_scan_list,
+    random_proof,
+    random_reduced_word,
+    reference_certifies,
+    reference_enumerate_cosets,
+)
 
 
 def pres(*texts, rank=2):
@@ -561,6 +568,65 @@ def test_certifies_rejects_a_table_that_does_not_hold():
         broken.columns[k][0] = entry
         assert not broken.certifies(s3)
     assert not enumerate_cosets(pres("aa"), 50).certifies(pres("aa"))
+    # relators with one root are checked as its gcd power: a^4 and a^6 give
+    # a^2, which moves a coset of Z4
+    z4 = enumerate_cosets(pres("aaaa", "b"))
+    assert z4.order == 4 and z4.certifies(pres("aaaa", "b"))
+    assert not z4.certifies(pres("aaaa", "aaaaaa", "b"))
+
+
+@settings(deadline=None)
+@given(presentations(), st.sampled_from([3, 50, 300]), st.data())
+# a one-coset table, over <a> of order 1, which takes the single-item branch
+# of _compose; and a root whose powers come from several relators
+@example(pres("a", "b"), 50, None)
+@example(pres("aaaa", "aaaaaaaa", "b"), 50, None)
+def test_certifies_matches_its_definition(pres, max_cosets, data):
+    # the group_order table and the trivial subgroup's, each as enumerated,
+    # with one more relator (a^6 in the examples) and with one column entry
+    # moved (coset 0's under a, to the next coset, in the examples)
+    rank = pres.alphabet.rank
+    letters = st.sampled_from([g for g in range(1, rank + 1)] + [-g for g in range(1, rank + 1)])
+    for table in (group_order(pres, max_cosets)[1], enumerate_cosets(pres, max_cosets)):
+        if data is None:
+            extra, (k, c, d) = (1,) * 6, (0, 0, (table.columns[0][0] + 1) % table.order)
+        else:
+            extra = cyclic_reduce(free_reduce(data.draw(st.lists(letters, min_size=1, max_size=8))))[0] or (1,)
+            coset = st.integers(0, (table.order or 1) - 1)
+            k, c, d = data.draw(st.tuples(st.integers(0, 2 * rank - 1), coset, coset))
+        more = Presentation(pres.alphabet, pres.relators + (extra,))
+        cases = [(table, pres), (table, more)]
+        if not table.overflowed:
+            moved = dataclasses.replace(table, columns=[list(column) for column in table.columns])
+            moved.columns[k][c] = d
+            cases.append((moved, pres))
+        for t, p in cases:
+            assert t.certifies(p) == reference_certifies(t, p)
+
+
+def test_certifies_composes_each_prefix_once_and_each_root_once(monkeypatch):
+    # the <a> tables of both benchmark presentations: two inverse checks, one
+    # composition per distinct prefix of the roots (18 prefixes of 13 roots
+    # of 44 letters; 21 of 17 roots of 54 letters, from 25 relators), and two
+    # squarings per root, each a fourth power.  Walking each relator's root
+    # anew took 73 and 129 column maps.
+    composed = []
+
+    def spy(perm, column):
+        composed.append(len(perm))
+        return compose(perm, column)
+
+    compose = cosets._compose
+    counts = {}
+    for order in (8192, 4096):
+        presentation = Presentation(AB, tuple(benchmark_relators(order)))
+        _, table = group_order(presentation)
+        monkeypatch.setattr(cosets, "_compose", spy)
+        composed.clear()
+        assert table.certifies(presentation)
+        counts[order] = len(composed)
+        monkeypatch.setattr(cosets, "_compose", compose)
+    assert counts == {8192: 46, 4096: 57}
 
 
 def test_permutation_rejects_an_incomplete_table_and_a_letter_beyond_the_rank():

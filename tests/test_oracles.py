@@ -5,6 +5,7 @@ failure is the defect's.  No Hypothesis search runs here."""
 
 import importlib
 import inspect
+import textwrap
 
 import pytest
 
@@ -36,6 +37,23 @@ def test_certifies_that_skips_a_relator_is_rejected(monkeypatch):
     monkeypatch.setattr(CosetTable, "certifies", skipping)
     with pytest.raises(AssertionError):
         oracle()
+
+
+def test_certifies_that_checks_the_wrong_power_of_a_root_is_rejected(monkeypatch):
+    # relators with one root are checked once, as the root to the gcd of
+    # their powers; keeping the first power, or taking the lcm, lets the Z4
+    # table pass aaaa aaaaaa b, in which a^2 = 1
+    oracle = test_cosets.test_certifies_rejects_a_table_that_does_not_hold
+    oracle()
+    source = textwrap.dedent(inspect.getsource(CosetTable.certifies))
+    gcd_power = "gcd(powers.get(v, 0), k)"
+    assert source.count(gcd_power) == 1
+    for defect in ("powers.get(v, k)", "lcm(powers.get(v, 1), k)"):
+        namespace = dict(vars(cosets))
+        exec(compile(source.replace(gcd_power, defect), cosets.__file__, "exec"), namespace)
+        monkeypatch.setattr(CosetTable, "certifies", namespace["certifies"])
+        with pytest.raises(AssertionError):
+            oracle()
 
 
 def test_cycle_lcm_that_returns_k_is_rejected(monkeypatch):

@@ -1,7 +1,8 @@
 """Shared test helpers: an independent string-based word oracle, the tuple
 bracelet-canon oracle, the naive append filter, the reference beam, the
-row-major reference coset enumerator and its relator filter, seeded random
-generators for words and valid proof words, and base-word lists."""
+row-major reference coset enumerator, its relator filter and the coset-table
+certificate by its definition, seeded random generators for words and valid
+proof words, and base-word lists."""
 
 from __future__ import annotations
 
@@ -255,6 +256,23 @@ def reference_enumerate_cosets(
         live_peak=enum.live_peak,
         columns=columns,
         subgroup=subgroup,
+    )
+
+
+def reference_certifies(table: CosetTable, pres: Presentation) -> bool:
+    """``CosetTable.certifies`` by its definition, one coset at a time: a
+    complete table whose every column each inverse column undoes, in which
+    ``trace`` takes every relator of ``pres`` from every coset back to it and
+    every subgroup generator from coset 0 back to 0."""
+    if table.overflowed:
+        return False
+    cosets = range(table.order)
+    columns = table.columns
+    return (
+        all(d in cosets for column in columns for d in column)
+        and all(columns[k ^ 1][columns[k][c]] == c for k in range(len(columns)) for c in cosets)
+        and all(table.trace(c, r) == c for r in pres.relators for c in cosets)
+        and all(table.trace(0, h) == 0 for h in table.subgroup)
     )
 
 
