@@ -15,12 +15,12 @@ cyclic core is a power of x or x^-1, so x^k = 1 and the order of x divides
 k.  The permutation of x on the complete table is an image of <x>, so when
 the lcm of its cycle lengths is k, x has order exactly k and the group order
 is index * k.  Otherwise, and when no relator is a letter power or the
-subgroup run overflows, it enumerates over the trivial subgroup.
-``CosetTable.certifies`` checks a table independently of the enumerator,
-sharing not even its scan list: a complete permutation action in which every
-relator fixes every coset, checked once per primitive root v of the cyclic
-cores as v to the gcd of their powers, and every subgroup generator fixes
-coset 0.  Whole columns are composed in C, each prefix of the roots once.
+subgroup run overflows, it enumerates over the trivial subgroup.  It reads
+an order only from a table that ``CosetTable.certifies``, independently of
+the enumerator and its scan list: a complete permutation action in which
+every relator fixes every coset, checked once per primitive root v of the
+cyclic cores as v to the gcd of their powers, and every subgroup generator
+fixes coset 0.  Whole columns are composed in C, each root prefix once.
 
 A relator whose cyclic core is, up to rotation and inversion, a power v^k of
 another relator's core v is left out of the scan list when k >= 2, or when
@@ -447,16 +447,17 @@ def group_order(pres: Presentation, max_cosets: int = MAX_COSETS) -> tuple[int |
     """The order of the presented group, or None when the enumeration
     overflowed, and the complete or overflowed table it was read from.
 
-    The table is that of a certified cyclic subgroup <x> of order k, and the
-    order is its index times k, when some relator is a power of a letter and
-    the permutation of x on the table has order k (see the module
-    docstring); else it is the table of the trivial subgroup and the order is
-    its index.  Either run may define up to ``max_cosets`` cosets.
+    The table is that of a cyclic subgroup <x> of order k, and the order is
+    its index times k, when some relator is a power of a letter and the
+    permutation of x on the table has order k (see the module docstring);
+    else it is the trivial subgroup's, and the order its index.  Either run
+    may define up to ``max_cosets`` cosets.  A complete table is returned
+    only if it ``certifies`` the presentation; if not, ValueError is raised.
     """
     x, k = pres._letter_power
-    if k:
-        table = enumerate_cosets(pres, max_cosets, ((x,),))
-        if not table.overflowed and _cycle_lcm(table.permutation((x,))) == k:
-            return table.order * k, table
-    table = enumerate_cosets(pres, max_cosets)
-    return table.order, table
+    table = enumerate_cosets(pres, max_cosets, ((x,),)) if k else None
+    if not k or table.overflowed or _cycle_lcm(table.permutation((x,))) != k:
+        table, k = enumerate_cosets(pres, max_cosets), 1
+    if not (table.overflowed or table.certifies(pres)):
+        raise ValueError("the coset table fails its check: a relator or subgroup generator moves a coset")
+    return (None if table.overflowed else table.order * k), table

@@ -66,11 +66,14 @@ class SearchConfig:
 
 @dataclass
 class SearchResult:
+    """A search's move log and counters, and the verified proof it found."""
+
     log: MoveLog | None
     states_visited: int = 0
     moves_tried: int = 0
     elapsed: float = 0.0
     restarts_used: int = 0
+    proof: ProofWord | None = None
 
     @property
     def found(self) -> bool:
@@ -275,17 +278,17 @@ def _beam_attempt(
 def search(target: Word, relators: RelatorSet, config: SearchConfig | None = None) -> SearchResult:
     """Beam search for a move log proving the freely reduced target trivial.
 
-    The beam runs from the inverse of the target's cyclically reduced core.
-    It is ordered by freely reduced word length, ties broken in the
-    a < A < b < B letter order; a visited set prunes re-entered states.
-    How a depth offers, counts and prunes its moves, and the length cutoff
-    beyond which it builds no word, is told in _beam_attempt.  Restarts
-    re-run the beam over random base subsets, so they run only when
-    base_subset_size is smaller than the number of bases; they are
-    deterministic for a fixed seed.
-    A found log starts at the inverse of the target: one conjugation per
-    letter of the inverse outer conjugator leads it to the inverted core,
-    then the beam's moves follow.
+    The beam runs from the inverse of the target's cyclically reduced core,
+    ordered by freely reduced length, ties broken in the a < A < b < B
+    letter order; a visited set prunes re-entered states.  _beam_attempt
+    tells how a depth offers, counts and prunes its moves, and its length
+    cutoff.  Restarts re-run the beam over random base subsets, so they run
+    only when base_subset_size is below the number of bases; a fixed seed
+    makes them deterministic.  A found log starts at the inverse of the
+    target: one conjugation per letter of the inverse outer conjugator leads
+    it to the inverted core, then the beam's moves follow.  The log's
+    reconstruction is verified against all of relators, also when an attempt
+    sampled a subset, and is result.proof; one that fails raises ValueError.
     """
     if config is None:
         config = SearchConfig()
@@ -308,6 +311,9 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
         moves = _beam_attempt(start, active, letters, config, result)
         if moves is not None:
             result.log = MoveLog(invert(target), invert(outer) + moves)
+            result.proof = reconstruct(result.log)
+            if not verify(result.proof, target, relators=relators).valid:
+                raise ValueError("the reconstructed proof does not verify")
             break
     result.elapsed = time.perf_counter() - t0
     return result
@@ -360,8 +366,8 @@ def reduce_presentation(
     """Greedily drop relators that the remaining ones prove within budget.
 
     Each candidate is searched for as a target over the symmetrized set of
-    the surviving bases; it is removed only when the reconstructed proof
-    passes verification, so the presented group never changes.  Every
+    the surviving bases; it is removed only when found, and search verifies
+    every proof it finds, so the presented group never changes.  Every
     relator's base is worked out before the first search, so a relator that
     is not an e-th power raises ValueError at once.
     """
@@ -373,8 +379,7 @@ def reduce_presentation(
         r, others = survivors[i], bases[:i] + bases[i + 1 :]
         if others:
             active = symmetrize(others, exponent)
-            result = search(r, active, config)
-            if result.found and verify(reconstruct(result.log), r, relators=active).valid:
+            if search(r, active, config).found:
                 del survivors[i], bases[i]
                 continue
         i += 1

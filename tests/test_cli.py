@@ -10,10 +10,12 @@ import pytest
 from powerproof import cli, cosets
 from powerproof.bracelets import bracelet_canon
 from powerproof.cli import main
-from powerproof.cosets import CosetTable, Presentation, enumerate_cosets, group_order
+from powerproof.cosets import CosetTable, Presentation, enumerate_cosets
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import ProofWord, distinct_presentation
 from powerproof.words import AB, parse_word as P, word_str
+
+from test_cosets import benchmark_relators, shuffled_benchmark_orders
 
 FIXTURE = str(importlib.resources.files("powerproof").joinpath("data/e5_proof_26_powers.txt"))
 
@@ -181,12 +183,13 @@ def test_search_refuses_a_proof_that_does_not_verify(monkeypatch, capsys):
     def corrupted(log):
         return ProofWord(((), ()), ((1, 1, 1),))
 
-    monkeypatch.setattr(cli, "reconstruct", corrupted)
+    # search verifies what it reconstructs, so the library raises before the
+    # counters line; the package's attribute ``search`` is the function
+    monkeypatch.setattr(sys.modules["powerproof.search"], "reconstruct", corrupted)
     code, out, err = run(
         capsys, "search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3", "--seed", "9"
     )
-    assert code == 1 and out == ""
-    assert "error:" in err
+    assert (code, out, err) == (1, "", "error: the reconstructed proof does not verify\n")
 
 
 def test_search_without_bases_names_every_bases_option(capsys):
@@ -359,15 +362,15 @@ def test_order(tmp_path, capsys):
 
 
 def test_order_refuses_a_table_that_fails_its_check(tmp_path, capsys, monkeypatch):
-    # a table of the Klein group handed back for S3: ababab moves its cosets
+    # the enumerator hands group_order the Klein group's tables for S3:
+    # ababab moves their cosets, so group_order raises before the summary line
     klein = Presentation(AB, (P("aa"), P("bb"), P("abab")))
-    monkeypatch.setattr(cli, "group_order", lambda pres, max_cosets: group_order(klein, max_cosets))
+    monkeypatch.setattr(cosets, "enumerate_cosets", lambda pres, *limits: enumerate_cosets(klein, *limits))
     rels = tmp_path / "rels.w"
     rels.write_text("aa\nbb\nababab\n")
     code, out, err = run(capsys, "order", "--relators", str(rels))
-    assert (code, out) == (1, "")
-    assert err.splitlines()[-1] == (
-        "error: the coset table fails its check: a relator or subgroup generator moves a coset"
+    assert (code, out, err) == (
+        1, "", "error: the coset table fails its check: a relator or subgroup generator moves a coset\n"
     )
 
 
@@ -439,6 +442,36 @@ def test_order_overflow(tmp_path, capsys):
     code, out, err = run(capsys, "order", "--relators", str(rels), "--max-cosets", "100")
     assert code == 1 and out.strip() == "OVERFLOW"
     assert err.strip() == "cosets defined 100, live peak 100, coincidences 0"
+
+
+ORDER_INPUTS = [
+    # CI's presentations: complete, with coincidences, with implied
+    # relators, and A4 at limits where its subgroup run overflows
+    *[(text, limit) for text in ("aaa bbbb abab abAB", "aaaaaa AAA aaa bb abAB BAba", "aaa bbb abab")
+      for limit in (None, 5, 3)],
+    ("aa bbb ababab abAB", None),  # the A4 quotient, of order 3
+    ("a b", None),  # one coset
+    ("aa bb ababab", None),  # S3
+]
+
+
+def test_order_outputs_are_pinned(tmp_path, capsys):
+    # exit codes, stdouts and stderrs of order on the benchmark presentations,
+    # in canonical order and in the relator shuffles of seeds 1 and 2, and on
+    # ORDER_INPUTS; a digest over them all
+    runs = [([word_str(r) for r in benchmark_relators(order)], None) for order in (8192, 4096)]
+    for seed in (1, 2):
+        runs += [(list(map(word_str, relators)), None) for _, relators in shuffled_benchmark_orders(seed)]
+    runs += [(text.split(), limit) for text, limit in ORDER_INPUTS]
+    rels = tmp_path / "rels.w"
+    digest = hashlib.sha256()
+    for words, limit in runs:
+        rels.write_text("".join(w + "\n" for w in words))
+        argv = ["order", "--relators", str(rels)] + ([] if limit is None else ["--max-cosets", str(limit)])
+        code, out, err = run(capsys, *argv)
+        digest.update(f"{code}\0{out}\0{err}\0".encode())
+    assert len(runs) == 46
+    assert digest.hexdigest() == "973e38193a736b6b021fba3db9c7fe616d19af520fadb7adf1f2706c8529151c"
 
 
 def test_usage_error_exit_code(capsys):

@@ -485,6 +485,7 @@ def with_path_examples(test):
 
 @settings(deadline=None)
 @given(presentations(), st.sampled_from([3, 50, 300, 2000]))
+@example(A4_QUOTIENT, 2000)
 @with_path_examples
 @with_examples(IMPLIED)
 def test_group_order_matches_the_trivial_enumeration(pres, max_cosets):

@@ -12,9 +12,11 @@ import pytest
 import test_cosets
 import test_search
 from powerproof import cli, cosets
+from powerproof.bracelets import enumerate_lyndon
 from powerproof.cosets import CosetTable, Presentation
-from powerproof.proofwords import ProofWord
-from powerproof.words import word_str
+from powerproof.engel import engel_word
+from powerproof.proofwords import ProofWord, VerifyReport, symmetrize
+from powerproof.words import AB, parse_word, word_str
 
 # the package's attribute ``search`` is the function, not the module
 search = importlib.import_module("powerproof.search")
@@ -132,3 +134,38 @@ def test_order_rejects_a_table_from_a_scan_list_that_drops_a_relator(monkeypatch
     monkeypatch.setattr(CosetTable, "certifies", over_the_scan_list)
     assert cli.main(["order", "--relators", str(rels)]) == 0
     assert capsys.readouterr().out == "12\n"
+
+
+def test_search_that_keeps_a_proof_that_does_not_verify_is_rejected(monkeypatch, capsys):
+    # search verifies the proof it reconstructs: a corrupted reconstruction
+    # raises, and the CLI prints nothing; with the check patched out too, the
+    # corrupted proof reaches stdout, so the check is what refuses it
+    argv = ["search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3"]
+    relators = symmetrize([c.canonical for n in range(1, 4) for c in enumerate_lyndon(AB, n)], 3)
+    assert search.search(engel_word(2), relators).proof is not None
+    assert cli.main(argv) == 0 and capsys.readouterr().out != "(aaa)\n"
+    monkeypatch.setattr(search, "reconstruct", lambda log: ProofWord(((), ()), ((1, 1, 1),)))
+    with pytest.raises(ValueError, match="the reconstructed proof does not verify"):
+        search.search(engel_word(2), relators)
+    assert cli.main(argv) == 1 and capsys.readouterr().out == ""
+    monkeypatch.setattr(search, "verify", lambda *args, **kwargs: VerifyReport(True, True, ()))
+    assert cli.main(argv) == 0 and capsys.readouterr().out == "(aaa)\n"
+
+
+def test_group_order_that_keeps_a_table_that_fails_its_check_is_rejected(monkeypatch, tmp_path, capsys):
+    # group_order certifies the table it reads its order from: the Klein
+    # group's tables handed back for S3 raise, and order exits 1; with the
+    # check patched out too, the Klein group's order 4 reaches stdout
+    s3 = Presentation(AB, tuple(map(parse_word, ("aa", "bb", "ababab"))))
+    klein = Presentation(AB, tuple(map(parse_word, ("aa", "bb", "abab"))))
+    rels = tmp_path / "rels.w"
+    rels.write_text("aa\nbb\nababab\n")
+    argv = ["order", "--relators", str(rels)]
+    assert cli.main(argv) == 0 and capsys.readouterr().out == "6\n"
+    enumerate_cosets = cosets.enumerate_cosets
+    monkeypatch.setattr(cosets, "enumerate_cosets", lambda pres, *limits: enumerate_cosets(klein, *limits))
+    with pytest.raises(ValueError, match="the coset table fails its check"):
+        cosets.group_order(s3)
+    assert cli.main(argv) == 1 and capsys.readouterr().out == ""
+    monkeypatch.setattr(CosetTable, "certifies", lambda table, pres: True)
+    assert cli.main(argv) == 0 and capsys.readouterr().out == "4\n"
