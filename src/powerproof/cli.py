@@ -29,7 +29,7 @@ from .proofwords import (
     verify,
 )
 from .search import SearchConfig, search
-from .words import AB, Alphabet, Word, cyclic_reduce, free_reduce, parse_word, word_str
+from .words import AB, MAX_RANK, Alphabet, Word, cyclic_reduce, free_reduce, parse_word, word_str
 
 
 def _read(path: str) -> str:
@@ -186,7 +186,7 @@ def _int_in(low: int, high: int | None = None):
 _positive_int = _int_in(1)
 _engel_index = _int_in(1, MAX_ENGEL)
 _exponent = _int_in(1, MAX_EXPONENT)
-_rank = _int_in(1, 26)
+_rank = _int_in(1, MAX_RANK)
 
 
 def _alphabet(text: str) -> Alphabet:

@@ -13,14 +13,19 @@ can certify, which defines fewer cosets than the trivial subgroup: x is the
 generator with the largest k, the gcd of the exponents of the relators whose
 cyclic core is a power of x or x^-1, so x^k = 1 and the order of x divides
 k.  The permutation of x on the complete table is an image of <x>, so when
-the lcm of its cycle lengths is k, x has order exactly k and the group order
-is index * k.  Otherwise, and when no relator is a letter power or the
-subgroup run overflows, it enumerates over the trivial subgroup.  It reads
-an order only from a table that ``CosetTable.certifies``, independently of
-the enumerator and its scan list: a complete permutation action in which
-every relator fixes every coset, checked once per primitive root v of the
-cyclic cores as v to the gcd of their powers, and every subgroup generator
-fixes coset 0.  Whole columns are composed in C, each root prefix once.
+the least divisor d of k at which x^d is the identity on the table is k
+itself, x has order exactly k and the group order is index * k.  Otherwise,
+and when no relator is a letter power or the subgroup run overflows, it
+enumerates over the trivial subgroup.  It reads an order only from a table
+that ``CosetTable.certifies``, independently of the enumerator and its scan
+list: a complete permutation action in which every relator fixes every
+coset, checked once per primitive root v of the cyclic cores as v to the gcd
+of their powers, and every subgroup generator fixes coset 0.
+
+Every question about a finished table is answered by composing whole
+columns in C: a word through one prefix walk, shared in the certificate by
+its roots and subgroup generators, and a power by squaring.  ``trace`` walks
+one coset letter by letter, the scalar reference for the tests.
 
 A relator whose cyclic core is, up to rotation and inversion, a power v^k of
 another relator's core v is left out of the scan list when k >= 2, or when
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import itemgetter
 
 from .bracelets import bracelet_canon, primitive_root
@@ -213,7 +218,8 @@ class CosetTable:
         column undone by its inverse's), with every relator of ``pres``
         fixing every coset and every subgroup generator fixing coset 0.  Cores
         v^k1, ..., v^kn, v primitive, all fix every coset exactly when
-        v^gcd(k1, ..., kn) does; the roots share one prefix memo."""
+        v^gcd(k1, ..., kn) does; the roots and the subgroup generators share
+        one prefix memo."""
         if self.overflowed:
             return False
         columns = self.columns
@@ -227,7 +233,7 @@ class CosetTable:
             not any(UNDEF in column for column in columns)
             and all(_compose(column, inverse) == identity for column, inverse in zip(columns[::2], columns[1::2]))
             and all(_power(self._walk(v, memo), k) == identity for v, k in powers.items())
-            and all(self.trace(0, h) == 0 for h in self.subgroup)
+            and all(self._walk(h, memo)[0] == 0 for h in self.subgroup)
         )
 
 
@@ -428,19 +434,11 @@ def enumerate_cosets(
     return CosetTable(len(live), len(enum.parent), enum.coincidences, enum.live_peak, subgroup, columns)
 
 
-def _cycle_lcm(perm: list[int]) -> int:
-    """The order of a permutation: the lcm of its cycle lengths."""
-    seen = [False] * len(perm)
-    order = 1
-    for start in range(len(perm)):
-        length, c = 0, start
-        while not seen[c]:
-            seen[c] = True
-            c = perm[c]
-            length += 1
-        if length:
-            order = lcm(order, length)
-    return order
+def _has_order(perm: tuple[int, ...], k: int) -> bool:
+    """True when a permutation has order exactly k: the least divisor d of k
+    with perm^d the identity is k itself."""
+    identity = tuple(range(len(perm)))
+    return next((d for d in range(1, k + 1) if k % d == 0 and _power(perm, d) == identity), None) == k
 
 
 def group_order(pres: Presentation, max_cosets: int = MAX_COSETS) -> tuple[int | None, CosetTable]:
@@ -448,15 +446,15 @@ def group_order(pres: Presentation, max_cosets: int = MAX_COSETS) -> tuple[int |
     overflowed, and the complete or overflowed table it was read from.
 
     The table is that of a cyclic subgroup <x> of order k, and the order is
-    its index times k, when some relator is a power of a letter and the
-    permutation of x on the table has order k (see the module docstring);
+    its index times k, when some relator is a power of a letter and x has
+    order k on the table, read from its powers (see the module docstring);
     else it is the trivial subgroup's, and the order its index.  Either run
     may define up to ``max_cosets`` cosets.  A complete table is returned
     only if it ``certifies`` the presentation; if not, ValueError is raised.
     """
     x, k = pres._letter_power
     table = enumerate_cosets(pres, max_cosets, ((x,),)) if k else None
-    if not k or table.overflowed or _cycle_lcm(table.permutation((x,))) != k:
+    if not k or table.overflowed or not _has_order(table._walk((x,), {}), k):
         table, k = enumerate_cosets(pres, max_cosets), 1
     if not (table.overflowed or table.certifies(pres)):
         raise ValueError("the coset table fails its check: a relator or subgroup generator moves a coset")

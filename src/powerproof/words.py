@@ -30,11 +30,12 @@ class ParseError(ValueError):
         super().__init__(f"{message} at line {self.line}, column {self.column} (position {position})")
 
 
-# The letter order a < A < b < B < ... < z < Z, the one table that every
-# letter encoding below is read from: LETTERS[i] is the letter of index i,
-# and the inverse of the letter of index i has index i ^ 1.  A letter outside
-# it (0, or beyond +-26) raises KeyError in every encoding.
-LETTERS: tuple[int, ...] = tuple(x for g in range(1, 27) for x in (g, -g))
+# The letter order a < A < b < B < ... < z < Z of the MAX_RANK generators, the
+# one table that every letter encoding below is read from: LETTERS[i] is the
+# letter of index i, and the inverse of the letter of index i has index i ^ 1.
+# A letter outside it (0, or beyond +-MAX_RANK) raises KeyError in every encoding.
+MAX_RANK = 26
+LETTERS: tuple[int, ...] = tuple(x for g in range(1, MAX_RANK + 1) for x in (g, -g))
 _TEXT = "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")
 _INDEX = {x: i for i, x in enumerate(LETTERS)}
 _STR = dict(zip(LETTERS, _TEXT))
@@ -47,8 +48,8 @@ class Alphabet:
     rank: int = 2
 
     def __post_init__(self):
-        if not 1 <= self.rank <= 26:
-            raise ValueError(f"rank must be between 1 and 26, got {self.rank}")
+        if not 1 <= self.rank <= MAX_RANK:
+            raise ValueError(f"rank must be between 1 and {MAX_RANK}, got {self.rank}")
 
 
 AB = Alphabet(2)

@@ -13,6 +13,7 @@ from powerproof import cosets
 from powerproof.bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from powerproof.cosets import (
     UNDEF,
+    CosetTable,
     Presentation,
     _Enumerator,
     _Overflow,
@@ -337,18 +338,18 @@ def test_the_lyndon_4_table_certifies_e5_without_a_proof():
     assert not any(map(eq, table.permutation(e4), range(table.order)))
 
 
-def power_table(alphabet, bases, e):
-    """The relator set of the bases' e-th powers, and the table of the group
-    that those powers present, enumerated with at most 2,000 cosets."""
+def power_presentation(alphabet, bases, e):
+    """The relator set of the bases' e-th powers, and the presentation of the
+    group that those powers present."""
     relators = symmetrize(bases, e)
-    return relators, enumerate_cosets(Presentation(alphabet, tuple(power(b, e) for b in relators.bases)), 2000)
+    return relators, Presentation(alphabet, tuple(power(b, e) for b in relators.bases))
 
 
 @st.composite
-def power_tables(draw):
-    """A power_table kept small: rank 1-3, e from 2 to 5 - rank, and as bases
-    the letters, the bracelets of length 2 less a drawn subset, and up to
-    three more words of length 2-4."""
+def power_presentations(draw):
+    """A power_presentation kept small: rank 1-3, e from 2 to 5 - rank, and as
+    bases the letters, the bracelets of length 2 less a drawn subset, and up
+    to three more words of length 2-4."""
     rank = draw(st.integers(1, 3))
     e = draw(st.integers(2, 5 - rank))
     alphabet = Alphabet(rank)
@@ -358,20 +359,29 @@ def power_tables(draw):
     extra = draw(st.lists(st.lists(st.sampled_from(letters), min_size=2, max_size=4), max_size=3))
     bases = [(g,) for g in range(1, rank + 1)] + [w for w in pairs if w not in dropped]
     bases += [core for w in extra if (core := cyclic_reduce(free_reduce(w))[0])]
-    return power_table(alphabet, bases, e)
+    return power_presentation(alphabet, bases, e)
+
+
+# mixed exponents: <a | a^4, a^6> has order 2, so a^2 holds in it, and the
+# proof that Random(1) draws over symmetrize([a], 2) flattens to AA; a scan
+# list that drops a^6 enumerates Z4, in which AA moves a coset
+MIXED_EXPONENTS = (symmetrize([P("a")], 2), pres("aaaa", "aaaaaa", rank=1))
 
 
 @settings(deadline=None)
-@given(power_tables(), st.randoms(use_true_random=False))
-@example(power_table(AB, [P("a"), P("b"), P("ab"), P("aB")], 3), random.Random(0))
+@given(power_presentations(), st.randoms(use_true_random=False))
+@example(power_presentation(AB, [P("a"), P("b"), P("ab"), P("aB")], 3), random.Random(0))
+@example(MIXED_EXPONENTS, random.Random(1))
 def test_the_proof_checker_and_the_coset_table_agree(setup, rng):
     # a word that a valid proof flattens to is trivial in the group, so it
     # fixes every coset; a search therefore finds no proof of a word that
-    # moves one, and a proof it finds verifies
-    relators, table = setup
+    # moves one, and a proof it finds verifies.  The table is enumerated
+    # here, at most 2,000 cosets, so a fault in the enumerator shows.
+    relators, presentation = setup
+    table = enumerate_cosets(presentation, 2000)
     if table.overflowed:
         return
-    rank = len(table.columns) // 2
+    rank = presentation.alphabet.rank
     proof = random_proof(rng, relators, rng.randrange(1, 4), 3, rank)
     word = flatten(proof)
     assert verify(proof, word, relators=relators).valid
@@ -457,9 +467,9 @@ def test_subgroup_generators_are_checked():
 
 
 # One presentation per path of group_order, with (order, index, subgroup):
-# certified over <a>; a fallback because the lcm of x's cycles is less than
-# k, with b chosen (k = 4, index 1) and with a central a of order 3; rank 1,
-# index 1; no letter power; both runs overflowing.
+# certified over <a>; a fallback because x's order is less than k, with b
+# chosen (k = 4, index 1) and with a central a of order 3; rank 1, index 1;
+# no letter power; both runs overflowing.
 GROUP_ORDER_PATHS = [
     (pres("aa", "bb", "ababab"), 2000, (6, 3, ((1,),))),
     (pres("aaa", "bbb", "abab"), 5, (12, 4, ((1,),))),
@@ -531,6 +541,22 @@ def test_group_order_of_the_benchmark_presentations():
         if k < 2:
             counts[order] = (table.cosets_defined, table.live_peak, table.coincidences)
     assert counts == {8192: (6_434, 2_379, 4_386), 4096: (2_994, 1_857, 1_970)}
+
+
+def test_group_order_does_not_walk_with_trace(monkeypatch):
+    # group_order answers both of its questions about a finished table, the
+    # order of x and the certificate, by composing columns: trace is only the
+    # scalar reference that the tests compare against
+    def refuse(table, coset, w):
+        raise RuntimeError("trace was called")
+
+    monkeypatch.setattr(CosetTable, "trace", refuse)
+    for order, index in ((8192, 2048), (4096, 1024)):
+        found, table = group_order(Presentation(AB, tuple(benchmark_relators(order))))
+        assert (found, table.order, table.subgroup) == (order, index, ((1,),))
+    for presentation, max_cosets, expected in GROUP_ORDER_PATHS:
+        order, table = group_order(presentation, max_cosets)
+        assert (order, table.order, table.subgroup) == expected
 
 
 @settings(deadline=None)

@@ -3,8 +3,11 @@ library and checks that the named oracle, run on its explicit inputs only,
 rejects it.  The oracle first passes on the library as it is, so the
 failure is the defect's.  No Hypothesis search runs here."""
 
+import dataclasses
 import importlib
 import inspect
+import math
+import random
 import textwrap
 
 import pytest
@@ -51,21 +54,48 @@ def test_certifies_that_checks_the_wrong_power_of_a_root_is_rejected(monkeypatch
     gcd_power = "gcd(powers.get(v, 0), k)"
     assert source.count(gcd_power) == 1
     for defect in ("powers.get(v, k)", "lcm(powers.get(v, 1), k)"):
-        namespace = dict(vars(cosets))
+        namespace = dict(vars(cosets), lcm=math.lcm)
         exec(compile(source.replace(gcd_power, defect), cosets.__file__, "exec"), namespace)
         monkeypatch.setattr(CosetTable, "certifies", namespace["certifies"])
         with pytest.raises(AssertionError):
             oracle()
 
 
-def test_cycle_lcm_that_returns_k_is_rejected(monkeypatch):
+def test_certifies_that_ignores_the_subgroup_is_rejected(monkeypatch):
+    oracle = test_cosets.test_certifies_rejects_a_table_that_does_not_hold
+    oracle()
+    certifies = CosetTable.certifies
+
+    def ignoring(table, pres):
+        return certifies(dataclasses.replace(table, subgroup=()), pres)
+
+    monkeypatch.setattr(CosetTable, "certifies", ignoring)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_order_test_that_always_reports_k_is_rejected(monkeypatch):
     # aaa bbbb abab abAB has order 2, but b has k = 4 and index 1 over <b>
     presentation, max_cosets, expected = test_cosets.GROUP_ORDER_PATHS[2]
     oracle = test_cosets.test_group_order_paths
     oracle(presentation, max_cosets, expected)
-    monkeypatch.setattr(cosets, "_cycle_lcm", lambda perm: presentation._letter_power[1])
+    monkeypatch.setattr(cosets, "_has_order", lambda perm, k: True)
     with pytest.raises(AssertionError):
         oracle(presentation, max_cosets, expected)
+
+
+def test_order_test_that_checks_only_the_kth_power_is_rejected(monkeypatch):
+    # x^k is the identity on every complete <x> table, so this test accepts
+    # any order of x that divides k: each fallback path then reads its order
+    # from <x>, as index * k
+    oracle = test_cosets.test_group_order_paths
+    paths = test_cosets.GROUP_ORDER_PATHS[2:5]
+    for path in paths:
+        oracle(*path)
+    monkeypatch.setattr(cosets, "_has_order", lambda perm, k: cosets._power(perm, k) == tuple(range(len(perm))))
+    for path in paths:
+        with pytest.raises(AssertionError):
+            oracle(*path)
 
 
 def test_beam_cutoff_one_too_low_is_rejected(monkeypatch):
@@ -111,6 +141,16 @@ def test_scan_list_that_drops_its_last_relator_is_rejected(monkeypatch):
     monkeypatch.setattr(Presentation, "_scan_list", property(lambda pres: scan_list(pres)[:-1]))
     with pytest.raises(AssertionError):
         oracle(test_cosets.A4_QUOTIENT, 2000)
+
+
+def test_proof_checker_rejects_a_scan_list_that_drops_a_relator(monkeypatch):
+    # <a | a^4, a^6> without a^6 is Z4, in which the proof's AA moves a coset
+    oracle = test_cosets.test_the_proof_checker_and_the_coset_table_agree.hypothesis.inner_test
+    oracle(test_cosets.MIXED_EXPONENTS, random.Random(1))
+    scan_list = Presentation._scan_list.func
+    monkeypatch.setattr(Presentation, "_scan_list", property(lambda pres: scan_list(pres)[:-1]))
+    with pytest.raises(AssertionError):
+        oracle(test_cosets.MIXED_EXPONENTS, random.Random(1))
 
 
 def test_order_rejects_a_table_from_a_scan_list_that_drops_a_relator(monkeypatch, tmp_path, capsys):
