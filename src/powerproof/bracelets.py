@@ -11,6 +11,7 @@ representative is not a proper power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain
 from operator import eq, itemgetter
 from typing import Iterable
@@ -36,20 +37,14 @@ def _rotation_starts(n: int) -> Iterable[int]:
     return chain(range(n), range(2 * n, 3 * n))
 
 
-class _RotationCuts(dict):
-    """Length n <= ``_CUT_MAX`` -> an itemgetter of the 2n slices
-    ``k:k + n`` at the rotation starts k, made on first use of each length.
-    Its call cuts all 2n rotations out of the key at once, at most 64 of at
-    most 32 letters, and since it holds at least two slices it always
-    returns a tuple, also for a one-letter word.  The cache holds at most
-    1,056 slices."""
-
-    def __missing__(self, n: int) -> itemgetter:
-        cut = self[n] = itemgetter(*(slice(k, k + n) for k in _rotation_starts(n)))
-        return cut
-
-
-_CUTS = _RotationCuts()
+@cache
+def _rotation_cut(n: int) -> itemgetter:
+    """An itemgetter of the 2n slices ``k:k + n`` at the rotation starts k,
+    for a length n <= ``_CUT_MAX``, made once per length.  Its call cuts all
+    2n rotations out of the key at once, at most 64 of at most 32 letters,
+    and since it holds at least two slices it always returns a tuple, also
+    for a one-letter word.  The cache holds at most 1,056 slices."""
+    return itemgetter(*(slice(k, k + n) for k in _rotation_starts(n)))
 
 
 def bracelet_canon(w: Word) -> Word:
@@ -60,8 +55,8 @@ def bracelet_canon(w: Word) -> Word:
     ``s[i + 1]`` (cyclically), the rotations of w are the length-n slices
     of ``ss = s + s`` and those of its inverse the length-n slices of
     ``tt``, reversed u + u.  For a word of at most ``_CUT_MAX`` letters, one
-    call of the itemgetter cached for its length cuts all 2n rotations out
-    of ``ss + tt`` in C, so at most 64 rotations are alive at once; a longer
+    call of the cutter ``_rotation_cut(n)`` cuts all 2n rotations out of
+    ``ss + tt`` in C, so at most 64 rotations are alive at once; a longer
     word's rotations are cut one at a time, so no more than two are.  The
     least rotation is the representative.  When that is s itself, as for
     every class the enumerator lists, w is returned as a tuple without
@@ -77,15 +72,18 @@ def bracelet_canon(w: Word) -> Word:
     n = len(s)
     key = ss + (u + u)[::-1]
     if n <= _CUT_MAX:
-        least = min(_CUTS[n](key))
+        least = min(_rotation_cut(n)(key))
     else:
         least = min(key[k : k + n] for k in _rotation_starts(n))
     return tuple(w) if least == s else key_word(least)
 
 
 def primitive_root(w: Word) -> tuple[Word, int]:
-    """(v, k) with w = v^k and v not a proper power, for a non-empty w: the
-    length of v is the least shift at which w is one of its own rotations."""
+    """(v, k) with w = v^k and v not a proper power, for every word: the
+    length of v is the least shift at which w is one of its own rotations.
+    The empty word is its own root, ((), 1), so k >= 1 always."""
+    if not w:
+        return (), 1
     s = order_key(w)
     p = (s + s).find(s, 1)
     return tuple(w[:p]), len(s) // p
@@ -94,7 +92,7 @@ def primitive_root(w: Word) -> tuple[Word, int]:
 def is_proper_power(w: Word) -> bool:
     """True iff w = v^k for some k >= 2 (w cyclically reduced): w is then one
     of its own proper rotations."""
-    return bool(w) and primitive_root(w)[1] > 1
+    return primitive_root(w)[1] > 1
 
 
 def enumerate_reduced_bracelets(alphabet: Alphabet, length: int) -> list[BraceletClass]:

@@ -297,7 +297,3 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("error: interrupted", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

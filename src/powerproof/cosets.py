@@ -207,8 +207,7 @@ class CosetTable:
         identity, which is taken by repeated squaring: the fourth power of a
         base of n letters costs n + 2 compositions, not 4n.
         """
-        core = cyclic_reduce(w)[0]
-        root, k = primitive_root(core) if core else (core, 1)
+        root, k = primitive_root(cyclic_reduce(w)[0])
         memo: dict[Word, tuple[int, ...]] = {}
         return _power(self._walk(root, memo), k) == memo[()]
 

@@ -193,24 +193,23 @@ def excision_word(p: ProofWord) -> Word:
     return free_reduce(chain.from_iterable(p.conjugators))
 
 
-def power_base(r: Word, exponent: int) -> Word:
-    """Base word of an e-th power relator, or raise."""
+def _power_base(r: Word, exponent: int) -> Word | None:
+    """The cyclically reduced w with w^e = r, or None when there is none."""
     if exponent < 1 or len(r) % exponent:
-        raise ValueError(f"relator {word_str(r)!r} is not a power with exponent {exponent}")
+        return None
     base = r[: len(r) // exponent]
-    if power(base, exponent) != r or not is_cyclically_reduced(base):
+    return base if power(base, exponent) == r and is_cyclically_reduced(base) else None
+
+
+def power_base(r: Word, exponent: int) -> Word:
+    """The cyclically reduced w with w^e = r; raise ValueError when r is not
+    such a power."""
+    base = _power_base(r, exponent)
+    if base is None:
         raise ValueError(
-            f"relator {word_str(r)!r} is not the {exponent}th power of a cyclically reduced word"
+            f"relator {word_str(r)!r} is not a power with exponent {exponent} of a cyclically reduced word"
         )
     return base
-
-
-def _is_power_relator(r: Word, exponent: int) -> bool:
-    try:
-        power_base(r, exponent)
-    except ValueError:
-        return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -249,7 +248,7 @@ def verify(
         bad = tuple(i for i, r in enumerate(p.relators) if r not in relators)
     else:
         assert exponent is not None
-        bad = tuple(i for i, r in enumerate(p.relators) if not _is_power_relator(r, exponent))
+        bad = tuple(i for i, r in enumerate(p.relators) if _power_base(r, exponent) is None)
     return VerifyReport(
         flattens_to_target=flatten(p) == free_reduce(target),
         excision_trivial=excision_word(p) == (),

@@ -132,6 +132,7 @@ def test_is_proper_power():
     assert primitive_root(P("aaa")) == (P("a"), 3)
     assert primitive_root(P("aaBa")) == (P("aaBa"), 1)
     assert primitive_root(P("aBAbaBAb")) == (P("aBAb"), 2)
+    assert primitive_root(()) == ((), 1)
 
 
 @pytest.mark.parametrize("length,expected", list(enumerate(REDUCED_COUNTS, start=1)))

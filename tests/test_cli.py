@@ -502,6 +502,12 @@ def test_domain_error_exit_code(tmp_path, capsys):
     proof.write_text("a(bbbb)A\n")
     code, out, err = run(capsys, "verify", "--proof", str(proof), "--engel", "1", "--exponent", "4", "--bases", str(empty))
     assert (code, out, err) == (1, "", f"error: {empty} holds no bases\n")
+    # a segment that is no e-th power of a cyclically reduced word
+    square = tmp_path / "square.pf"
+    square.write_text("(abAB)\n")
+    code, out, err = run(capsys, "stats", "--proof", str(square), "--exponent", "2")
+    message = "error: relator 'abAB' is not a power with exponent 2 of a cyclically reduced word\n"
+    assert (code, out, err) == (1, "", message)
 
 
 def test_parse_errors_name_line_and_column(tmp_path, capsys):

@@ -13,13 +13,14 @@ import textwrap
 import pytest
 
 import test_cosets
+import test_proofwords
 import test_search
-from powerproof import cli, cosets
+from powerproof import cli, cosets, proofwords
 from powerproof.bracelets import enumerate_lyndon
 from powerproof.cosets import CosetTable, Presentation
 from powerproof.engel import engel_word
 from powerproof.proofwords import ProofWord, VerifyReport, symmetrize
-from powerproof.words import AB, parse_word, word_str
+from powerproof.words import AB, parse_word, power, word_str
 
 # the package's attribute ``search`` is the function, not the module
 search = importlib.import_module("powerproof.search")
@@ -209,3 +210,31 @@ def test_group_order_that_keeps_a_table_that_fails_its_check_is_rejected(monkeyp
     assert cli.main(argv) == 1 and capsys.readouterr().out == ""
     monkeypatch.setattr(CosetTable, "certifies", lambda table, pres: True)
     assert cli.main(argv) == 0 and capsys.readouterr().out == "4\n"
+
+
+def test_power_base_that_skips_the_cyclic_reduction_test_is_rejected(monkeypatch):
+    # aAaA is the square of aA, which is not cyclically reduced: verify's
+    # exponent mode must flag it
+    oracle = test_proofwords.test_verify_exponent_only_flags_non_powers
+    oracle()
+
+    def skipping(r, exponent):
+        if exponent < 1 or len(r) % exponent:
+            return None
+        base = r[: len(r) // exponent]
+        return base if power(base, exponent) == r else None
+
+    monkeypatch.setattr(proofwords, "_power_base", skipping)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
+def test_primitive_root_that_gives_the_empty_word_power_zero_is_rejected(monkeypatch):
+    # with k = 0 for the empty word, fixes(()) asks _power for the 0th power,
+    # on which its squaring never ends
+    oracle = test_cosets.test_permutation_rejects_an_incomplete_table_and_a_letter_beyond_the_rank
+    oracle()
+    primitive_root = cosets.primitive_root
+    monkeypatch.setattr(cosets, "primitive_root", lambda w: primitive_root(w) if w else ((), 0))
+    with pytest.raises(RecursionError):
+        oracle()

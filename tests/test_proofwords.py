@@ -370,10 +370,18 @@ def test_stats_identity_random():
 
 
 def test_stats_rejects_non_power():
-    with pytest.raises(ValueError):
-        stats(parse_proof("(aab)"), 4)
-    with pytest.raises(ValueError):
-        stats(parse_proof("(aaaA)"), 4)
+    # one message, whichever way the relator fails to be a power
+    cases = [
+        ("aab", 4),  # its length is no multiple of 4
+        ("aaaA", 4),  # a^4 is not aaaA
+        ("abA", 1),  # abA is its own first power, but not cyclically reduced
+        ("abAB", 2),  # abab is not abAB
+        ("abAB", 3),  # its length is no multiple of 3
+    ]
+    for relator, exponent in cases:
+        message = f"relator '{relator}' is not a power with exponent {exponent} of a cyclically reduced word$"
+        with pytest.raises(ValueError, match=message):
+            stats(parse_proof(f"({relator})"), exponent)
 
 
 def test_stats_rejects_a_proof_without_relators():
