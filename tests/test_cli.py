@@ -16,6 +16,7 @@ from powerproof.proofwords import ProofWord, distinct_presentation
 from powerproof.words import AB, parse_word as P, word_str
 
 from test_cosets import benchmark_relators, shuffled_benchmark_orders
+from util import package_env
 
 FIXTURE = str(importlib.resources.files("powerproof").joinpath("data/e5_proof_26_powers.txt"))
 
@@ -29,6 +30,8 @@ def run(capsys, *argv):
 def test_engel(capsys):
     code, out, _ = run(capsys, "engel", "--n", "2")
     assert code == 0 and out.strip() == "BAbaBABabb"
+    code, out, _ = run(capsys, "engel", "--n", "5")
+    assert code == 0 and len(out.strip()) == 72
     code, out, _ = run(capsys, "engel", "--n", "5", "--cyclic")
     assert code == 0 and len(out.strip()) == 64
     assert hashlib.sha256(out.encode()).hexdigest() == (
@@ -39,6 +42,8 @@ def test_engel(capsys):
 def test_bracelets_count(capsys):
     code, out, _ = run(capsys, "bracelets", "--rank", "2", "--len", "10", "--count")
     assert code == 0 and out.strip() == "2968"
+    code, out, _ = run(capsys, "bracelets", "--len", "10", "--upto", "--count")
+    assert code == 0 and out == "4759\n"
     code, out, _ = run(capsys, "bracelets", "--rank", "2", "--len", "4", "--lyndon", "--upto", "--count")
     assert code == 0 and out.strip() == "17"
 
@@ -91,6 +96,9 @@ def test_verify_fixture(capsys):
     )
     assert code == 0
     assert out.strip().endswith("VALID")
+    # with no bases option, every segment need only be a fourth power
+    code, out, _ = run(capsys, "verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4")
+    assert code == 0 and out.strip().endswith("VALID")
 
 
 def test_verify_invalid_exits_1(tmp_path, capsys):
@@ -156,19 +164,19 @@ def test_fold(tmp_path, capsys):
 
 
 def test_search_verify_round_trip(tmp_path, capsys):
-    code, out, err = run(
-        capsys, "search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3",
-        "--beam", "600",
-    )
-    assert code == 0
-    assert "states visited" in err
-    pf = tmp_path / "found.pf"
-    pf.write_text(out)
-    code, out2, _ = run(
-        capsys, "verify", "--proof", str(pf), "--engel", "2", "--exponent", "3",
-        "--max-base-len", "3",
-    )
-    assert code == 0 and out2.strip().endswith("VALID")
+    # verify over the reduced bracelets up to length 3, which hold the
+    # search's Lyndon bases, and over the same 17 Lyndon bases up to length 4
+    for search_bases, verify_bases in [
+        (("--lyndon-upto", "3", "--beam", "600"), ("--max-base-len", "3")),
+        (("--lyndon-upto", "4"), ("--lyndon-upto", "4")),
+    ]:
+        code, out, err = run(capsys, "search", "--engel", "2", "--exponent", "3", *search_bases)
+        assert code == 0
+        assert "states visited" in err
+        pf = tmp_path / "found.pf"
+        pf.write_text(out)
+        code, out2, _ = run(capsys, "verify", "--proof", str(pf), "--engel", "2", "--exponent", "3", *verify_bases)
+        assert code == 0 and out2.strip().endswith("VALID")
 
 
 def test_search_outputs_are_byte_stable(capsys):
@@ -339,6 +347,26 @@ def test_a_closed_stdout_exits_1_and_prints_nothing(tmp_path, capsys, monkeypatc
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_a_closed_pipe_in_a_child_exits_1_with_an_empty_stderr(tmp_path, unbuffered):
+    # a real pipe whose reader has closed before the child starts: unbuffered,
+    # the first line's write fails; buffered, the flush does
+    env = package_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    reader, writer = os.pipe()
+    os.close(reader)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "powerproof", "stats", "--proof", FIXTURE, "--exponent", "4"],
+            stdout=writer, stderr=subprocess.PIPE, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+    finally:
+        os.close(writer)
+    assert (proc.returncode, proc.stderr) == (1, "")
+
+
 def test_search_not_found(tmp_path, capsys):
     target = tmp_path / "t.w"
     target.write_text("aaaa\n")
@@ -445,14 +473,43 @@ def test_order_overflow(tmp_path, capsys):
 
 
 ORDER_INPUTS = [
-    # CI's presentations: complete, with coincidences, with implied
-    # relators, and A4 at limits where its subgroup run overflows
+    # the small presentations of test_order_prints_the_pinned_lines, each at
+    # every limit: complete, with coincidences, with implied relators, and
+    # A4 at limits where its subgroup run overflows
     *[(text, limit) for text in ("aaa bbbb abab abAB", "aaaaaa AAA aaa bb abAB BAba", "aaa bbb abab")
       for limit in (None, 5, 3)],
     ("aa bbb ababab abAB", None),  # the A4 quotient, of order 3
     ("a b", None),  # one coset
     ("aa bb ababab", None),  # S3
 ]
+
+
+@pytest.mark.parametrize(
+    "relators, limit, expected",
+    [
+        ("aaa bbbb abab abAB", None, (0, "2\n", "cosets defined 10, live peak 10, coincidences 8\n")),
+        # relators implied by others (a power listed before its root, an
+        # inverse duplicate, a rotated inverse) are left out of the scan
+        ("aaaaaa AAA aaa bb abAB BAba", None, (0, "6\n", "cosets defined 6, live peak 6, coincidences 0\n")),
+        # A4 over <a>: 4 cosets, so 5 suffice; with 3, the subgroup run and
+        # the trivial-subgroup fallback both overflow
+        ("aaa bbb abab", 5, (0, "12\n", "cosets defined 4, live peak 4, coincidences 0, subgroup <a> of order 3, index 4\n")),
+        ("aaa bbb abab", 3, (1, "OVERFLOW\n", "cosets defined 3, live peak 3, coincidences 0\n")),
+        # one coset: the certificate composes permutations of a single coset
+        ("a b", None, (0, "1\n", "cosets defined 1, live peak 1, coincidences 0, subgroup <a> of order 1, index 1\n")),
+        # the fourth powers of the 25 bracelets up to length 4
+        (4096, None, (0, "4096\n", "cosets defined 2994, live peak 1857, coincidences 1970, subgroup <a> of order 4, index 1024\n")),
+        # the paper's cross-check: the bundled proof's 13 distinct relators
+        (8192, None, (0, "8192\n", "cosets defined 6434, live peak 2379, coincidences 4386, subgroup <a> of order 4, index 2048\n")),
+    ],
+    ids=["c2", "c6", "a4-max-5", "a4-max-3", "one-coset", "bracelets4-4096", "e5-proof-8192"],
+)
+def test_order_prints_the_pinned_lines(tmp_path, capsys, relators, limit, expected):
+    words = relators.split() if isinstance(relators, str) else [word_str(r) for r in benchmark_relators(relators)]
+    rels = tmp_path / "rels.w"
+    rels.write_text("".join(w + "\n" for w in words))
+    argv = ["order", "--relators", str(rels)] + ([] if limit is None else ["--max-cosets", str(limit)])
+    assert run(capsys, *argv) == expected
 
 
 def test_order_outputs_are_pinned(tmp_path, capsys):
@@ -492,7 +549,7 @@ def test_domain_error_exit_code(tmp_path, capsys):
     bases = tmp_path / "bases.w"
     bases.write_text("abA\n")
     code, _, err = run(capsys, "search", "--engel", "2", "--exponent", "3", "--bases", str(bases))
-    assert code == 1 and "'abA'" in err and "bracelet_canon" not in err
+    assert code == 1 and "'abA'" in err and "bracelet_canon" not in err and "Traceback" not in err
     # a bases file with no words is an error, not a search over no relators
     empty = tmp_path / "empty.w"
     empty.write_text("# no bases\n\n")
@@ -530,11 +587,9 @@ def test_parse_errors_name_line_and_column(tmp_path, capsys):
 
 
 def test_python_dash_m_runs_the_command(tmp_path):
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-    env = {**os.environ, "PYTHONPATH": os.path.abspath(src)}
     proc = subprocess.run(
         [sys.executable, "-m", "powerproof", "bracelets", "--len", "2"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        capture_output=True, text=True, env=package_env(), cwd=tmp_path, timeout=60,
     )
     assert proc.returncode == 0 and proc.stdout.split() == ["aa", "ab", "aB", "bb"]
 
@@ -543,12 +598,11 @@ def test_python_dash_m_runs_the_command(tmp_path):
 def test_search_is_identical_across_hash_seeds(tmp_path):
     # str hashes are salted per process; the beam keeps its states as
     # strings, so two seeds must still give the same proof and counters
-    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
     argv = [sys.executable, "-m", "powerproof", "search", "--engel", "5", "--exponent", "4",
             "--lyndon-upto", "5", "--beam", "300", "--max-moves", "400"]
     runs = []
     for seed in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed}
+        env = package_env(PYTHONHASHSEED=seed)
         proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
         assert proc.returncode == 0
         runs.append((proc.stdout, re.sub(r"elapsed \S+", "", proc.stderr)))

@@ -1,0 +1,28 @@
+"""The package as a library caller and a child process see it: the one a
+test imports, from the source tree or from an installed copy."""
+
+import subprocess
+import sys
+
+import powerproof
+from powerproof import AB, Presentation, distinct_presentation, e5_proof, engel_word
+from powerproof import enumerate_lyndon, group_order, search, symmetrize, verify
+
+from util import package_env
+
+
+def test_a_child_imports_the_package_under_test(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import powerproof; print(powerproof.__file__)"],
+        capture_output=True, text=True, env=package_env(), cwd=tmp_path, timeout=60,
+    )
+    assert proc.returncode == 0 and proc.stdout == powerproof.__file__ + "\n"
+
+
+def test_the_top_level_names_return_checked_results():
+    # search's proof verifies, and group_order reads 8192 from a table that
+    # passed its check
+    relators = symmetrize([c.canonical for n in range(1, 5) for c in enumerate_lyndon(AB, n)], 3)
+    result = search(engel_word(2), relators)
+    assert verify(result.proof, engel_word(2), relators=relators).valid
+    assert group_order(Presentation(AB, tuple(distinct_presentation(e5_proof(), 4))))[0] == 8192

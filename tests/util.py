@@ -2,18 +2,28 @@
 bracelet-canon oracle, the naive append filter, the reference beam, the
 row-major reference coset enumerator, its relator filter and the coset-table
 certificate by its definition, seeded random generators for words and valid
-proof words, and base-word lists."""
+proof words, base-word lists, and the environment of a ``python -m
+powerproof`` child."""
 
 from __future__ import annotations
 
+import os
 import random
 from collections import deque
 
+import powerproof
 from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, CosetTable, Presentation
 from powerproof.proofwords import ProofWord, RelatorSet
 from powerproof.search import MoveLog, SearchConfig, apply_move
 from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, power, rotations
+
+
+def package_env(**extra: str) -> dict[str, str]:
+    """The environment for a ``python -m powerproof`` child: ``PYTHONPATH``
+    names the directory that holds the imported package (the source tree or
+    an installed copy), so the child runs the package under test."""
+    return {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(powerproof.__file__)), **extra}
 
 
 def reduce_str(s: str) -> str:
