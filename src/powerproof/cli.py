@@ -197,67 +197,55 @@ def _alphabet(text: str) -> Alphabet:
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every subcommand, built once per process and shared by
-    every call, so callers must not change it: a build takes about 1 ms and
-    a parse about 0.03 ms.  The ``_cmd_*`` functions look up the library
-    names they call when they run."""
+    every call, so callers must not change it.  Each option that several
+    subcommands share is declared once, in a parent parser.  The ``_cmd_*``
+    functions look up the library names they call when they run."""
     parser = argparse.ArgumentParser(prog="powerproof")
     sub = parser.add_subparsers(dest="command", required=True)
+
+    rank, target, bases, proof = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    rank.add_argument(
+        "--rank", dest="alphabet", metavar="RANK", type=_alphabet, default=AB, help="number of generators"
+    )
+    target_group = target.add_mutually_exclusive_group(required=True)
+    target_group.add_argument("--target", help="file holding the target word")
+    target_group.add_argument("--engel", type=_engel_index, help="use the n-th Engel word as target")
+    bases_group = bases.add_mutually_exclusive_group()
+    bases_group.add_argument("--bases", help="file of base words, one per line")
+    bases_group.add_argument(
+        "--max-base-len", type=_positive_int, help="all reduced bracelets up to this length"
+    )
+    bases_group.add_argument("--lyndon-upto", type=_positive_int, help="all Lyndon words up to this length")
+    proof.add_argument("--proof", required=True)
 
     p = sub.add_parser("engel", help="print the n-th Engel word on (a, b)")
     p.add_argument("--n", type=_engel_index, required=True)
     p.add_argument("--cyclic", action="store_true", help="print the cyclically reduced core")
     p.set_defaults(func=_cmd_engel)
 
-    def add_rank(p):
-        p.add_argument(
-            "--rank", dest="alphabet", type=_alphabet, default=AB, help="number of generators"
-        )
-
-    p = sub.add_parser("bracelets", help="enumerate reduced bracelets or Lyndon words")
-    add_rank(p)
+    p = sub.add_parser("bracelets", parents=[rank], help="enumerate reduced bracelets or Lyndon words")
     p.add_argument("--len", type=_positive_int, required=True)
     p.add_argument("--lyndon", action="store_true")
     p.add_argument("--count", action="store_true")
     p.add_argument("--upto", action="store_true", help="all lengths from 1 to --len")
     p.set_defaults(func=_cmd_bracelets)
 
-    def add_target(p):
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--target", help="file holding the target word")
-        g.add_argument("--engel", type=_engel_index, help="use the n-th Engel word as target")
-
-    def add_bases(p, required):
-        g = p.add_mutually_exclusive_group(required=required)
-        g.add_argument("--bases", help="file of base words, one per line")
-        g.add_argument(
-            "--max-base-len", type=_positive_int, help="all reduced bracelets up to this length"
-        )
-        g.add_argument("--lyndon-upto", type=_positive_int, help="all Lyndon words up to this length")
-
-    p = sub.add_parser("verify", help="check a proof word against a target")
-    p.add_argument("--proof", required=True)
-    add_rank(p)
-    add_target(p)
+    p = sub.add_parser(
+        "verify", parents=[proof, rank, target, bases], help="check a proof word against a target"
+    )
     p.add_argument("--exponent", type=_exponent, required=True)
-    add_bases(p, required=False)
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("stats", help="proof word statistics")
-    p.add_argument("--proof", required=True)
-    add_rank(p)
+    p = sub.add_parser("stats", parents=[proof, rank], help="proof word statistics")
     p.add_argument("--exponent", type=_exponent, default=4)
     p.set_defaults(func=_cmd_stats)
 
-    p = sub.add_parser("fold", help="fold bordering inverse pairs into relators")
-    p.add_argument("--proof", required=True)
-    add_rank(p)
+    p = sub.add_parser("fold", parents=[proof, rank], help="fold bordering inverse pairs into relators")
     p.set_defaults(func=_cmd_fold)
 
-    p = sub.add_parser("search", help="search for a proof word for a target")
-    add_target(p)
-    add_rank(p)
+    bases_group.required = True  # for search; verify's copy of the group, made above, stays optional
+    p = sub.add_parser("search", parents=[target, rank, bases], help="search for a proof word for a target")
     p.add_argument("--exponent", type=_exponent, required=True)
-    add_bases(p, required=True)
     defaults = SearchConfig()
     p.add_argument("--beam", type=_positive_int, default=defaults.beam_width)
     p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves)
@@ -266,9 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--base-subset", type=_positive_int, default=defaults.base_subset_size)
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("order", help="group order by coset enumeration")
+    p = sub.add_parser("order", parents=[rank], help="group order by coset enumeration")
     p.add_argument("--relators", required=True, help="file of relators, one per line")
-    add_rank(p)
     p.add_argument("--max-cosets", type=_positive_int, default=MAX_COSETS)
     p.set_defaults(func=_cmd_order)
 

@@ -318,10 +318,10 @@ class ProofStats:
 
 
 def stats(p: ProofWord, exponent: int = 4) -> ProofStats:
-    """Statistics of a proof word; every relator must be an e-th power."""
+    """Statistics of a proof word; every relator must be an e-th power, with e
+    at most MAX_EXPONENT."""
     if not p.relators:
         raise ValueError("proof word has no relator segments")
-    bases = [power_base(r, exponent) for r in p.relators]
     count = len(p.relators)
     rel_sum = sum(len(r) for r in p.relators)
     outside = sum(len(c) for c in p.conjugators)
@@ -329,7 +329,7 @@ def stats(p: ProofWord, exponent: int = 4) -> ProofStats:
         relator_count=count,
         relator_length_sum=rel_sum,
         conjugating_pairs=Fraction(outside, 2),
-        distinct_relators=len({bracelet_canon(b) for b in bases}),
+        distinct_relators=len(distinct_presentation(p, exponent)),
         exponent=exponent,
     )
 

@@ -13,7 +13,7 @@ from powerproof.cli import main
 from powerproof.cosets import CosetTable, Presentation, enumerate_cosets
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import ProofWord, distinct_presentation
-from powerproof.words import AB, parse_word as P, word_str
+from powerproof.words import AB, Alphabet, parse_word as P, word_str
 
 from test_cosets import benchmark_relators, shuffled_benchmark_orders
 from util import package_env
@@ -535,6 +535,108 @@ def test_usage_error_exit_code(capsys):
     assert main(["nonsense"]) == 2
     assert main(["bracelets"]) == 2
     assert main(["verify", "--proof", "x", "--engel", "5", "--exponent", "4", "--bogus"]) == 2
+
+
+NO_BASES = {"bases": None, "max_base_len": None, "lyndon_upto": None}
+SEARCH_DEFAULTS = {"beam": 1000, "max_moves": 256, "restarts": 0, "seed": 0, "base_subset": None}
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["engel", "--n", "5"], {"n": 5, "cyclic": False}),
+        (["engel", "--n", "3", "--cyclic"], {"n": 3, "cyclic": True}),
+        (["bracelets", "--len", "4"], {"alphabet": AB, "len": 4, "lyndon": False, "count": False, "upto": False}),
+        (
+            ["bracelets", "--rank", "3", "--len", "4", "--lyndon", "--count", "--upto"],
+            {"alphabet": Alphabet(3), "len": 4, "lyndon": True, "count": True, "upto": True},
+        ),
+        (
+            ["verify", "--proof", "p.pf", "--engel", "5", "--exponent", "4"],
+            {"proof": "p.pf", "alphabet": AB, "target": None, "engel": 5, "exponent": 4, **NO_BASES},
+        ),
+        (
+            ["verify", "--proof", "p.pf", "--rank", "3", "--target", "t.w", "--exponent", "3", "--bases", "b.w"],
+            {"proof": "p.pf", "alphabet": Alphabet(3), "target": "t.w", "engel": None, "exponent": 3,
+             **NO_BASES, "bases": "b.w"},
+        ),
+        (
+            ["verify", "--proof", "p.pf", "--engel", "2", "--exponent", "3", "--max-base-len", "3"],
+            {"proof": "p.pf", "alphabet": AB, "target": None, "engel": 2, "exponent": 3,
+             **NO_BASES, "max_base_len": 3},
+        ),
+        (
+            ["verify", "--proof", "p.pf", "--engel", "2", "--exponent", "3", "--lyndon-upto", "4"],
+            {"proof": "p.pf", "alphabet": AB, "target": None, "engel": 2, "exponent": 3,
+             **NO_BASES, "lyndon_upto": 4},
+        ),
+        (["stats", "--proof", "p.pf"], {"proof": "p.pf", "alphabet": AB, "exponent": 4}),
+        (
+            ["stats", "--proof", "p.pf", "--rank", "3", "--exponent", "3"],
+            {"proof": "p.pf", "alphabet": Alphabet(3), "exponent": 3},
+        ),
+        (["fold", "--proof", "p.pf"], {"proof": "p.pf", "alphabet": AB}),
+        (["fold", "--proof", "p.pf", "--rank", "1"], {"proof": "p.pf", "alphabet": Alphabet(1)}),
+        (
+            ["search", "--engel", "5", "--exponent", "4", "--lyndon-upto", "5"],
+            {"target": None, "engel": 5, "alphabet": AB, "exponent": 4, **NO_BASES, "lyndon_upto": 5,
+             **SEARCH_DEFAULTS},
+        ),
+        (
+            ["search", "--target", "t.w", "--rank", "3", "--exponent", "2", "--bases", "b.w", "--beam", "7",
+             "--max-moves", "9", "--restarts", "1", "--seed", "-3", "--base-subset", "5"],
+            {"target": "t.w", "engel": None, "alphabet": Alphabet(3), "exponent": 2, **NO_BASES, "bases": "b.w",
+             "beam": 7, "max_moves": 9, "restarts": 1, "seed": -3, "base_subset": 5},
+        ),
+        (
+            ["search", "--engel", "2", "--exponent", "3", "--max-base-len", "2"],
+            {"target": None, "engel": 2, "alphabet": AB, "exponent": 3, **NO_BASES, "max_base_len": 2,
+             **SEARCH_DEFAULTS},
+        ),
+        (["order", "--relators", "r.w"], {"relators": "r.w", "alphabet": AB, "max_cosets": 2_000_000}),
+        (
+            ["order", "--relators", "r.w", "--rank", "3", "--max-cosets", "100"],
+            {"relators": "r.w", "alphabet": Alphabet(3), "max_cosets": 100},
+        ),
+    ],
+)
+def test_each_subcommand_parses_to_its_namespace(argv, expected):
+    # every option a subcommand has, shared or its own, lands in its
+    # namespace, with its default when the argv leaves it out
+    args = vars(cli.build_parser().parse_args(argv))
+    assert args.pop("func") is getattr(cli, f"_cmd_{argv[0]}")
+    assert args == {"command": argv[0], **expected}
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["verify", "--proof", "p.pf", "--target", "t.w", "--engel", "5", "--exponent", "4"],
+            "argument --engel: not allowed with argument --target",
+        ),
+        (
+            ["search", "--engel", "2", "--exponent", "3", "--bases", "b.w", "--lyndon-upto", "3"],
+            "argument --lyndon-upto: not allowed with argument --bases",
+        ),
+        (["search", "--engel", "2", "--exponent", "3"], "one of the arguments --bases --max-base-len --lyndon-upto is required"),
+        (["search", "--exponent", "3"], "one of the arguments --target --engel is required"),
+        (["verify", "--proof", "p.pf", "--exponent", "4"], "one of the arguments --target --engel is required"),
+        (["verify", "--engel", "5"], "the following arguments are required: --proof, --exponent"),
+        (["stats"], "the following arguments are required: --proof"),
+    ],
+)
+def test_option_group_errors_are_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.endswith(f"\npowerproof {argv[0]}: error: {message}\n")
+
+
+@pytest.mark.parametrize("command", ["bracelets", "verify", "stats", "fold", "search", "order"])
+def test_help_names_the_rank_placeholder(capsys, command):
+    code, out, err = run(capsys, command, "--help")
+    assert code == 0 and err == ""
+    assert "--rank RANK" in out and "ALPHABET" not in out
 
 
 def test_domain_error_exit_code(tmp_path, capsys):

@@ -33,7 +33,7 @@ from powerproof.words import (
     parse_word as P,
     rotations,
 )
-from util import bracelet_bases, naive_appendable, random_proof
+from util import bracelet_bases, bracelet_canon_oracle, naive_appendable, random_proof
 
 
 def test_symmetrize_examples():
@@ -369,6 +369,13 @@ def test_stats_identity_random():
         assert st.conjugating_pairs.denominator == 1
 
 
+@given(st.lists(small_bases, min_size=1, max_size=4), st.integers(1, 5), st.integers(1, 6), st.randoms())
+def test_stats_counts_the_classes_of_the_distinct_presentation(bases, exponent, n_relators, rng):
+    p = random_proof(rng, symmetrize(bases, exponent), n_relators, 3, rank=3)
+    classes = {bracelet_canon_oracle(power_base(r, exponent)) for r in p.relators}
+    assert stats(p, exponent).distinct_relators == len(distinct_presentation(p, exponent)) == len(classes)
+
+
 def test_stats_rejects_non_power():
     # one message, whichever way the relator fails to be a power
     cases = [
@@ -387,6 +394,12 @@ def test_stats_rejects_non_power():
 def test_stats_rejects_a_proof_without_relators():
     with pytest.raises(ValueError, match="proof word has no relator segments"):
         stats(parse_proof("ab"), 4)
+
+
+def test_stats_takes_exponents_up_to_the_relator_set_bound():
+    assert stats(parse_proof("(" + "a" * MAX_EXPONENT + ")"), MAX_EXPONENT).distinct_relators == 1
+    with pytest.raises(ValueError, match="^exponents are taken up to MAX_EXPONENT = 64, got 65$"):
+        stats(parse_proof("(" + "a" * 65 + ")"), 65)
 
 
 def test_round2_half_up():
