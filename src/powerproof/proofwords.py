@@ -152,35 +152,33 @@ def parse_proof(text: str, alphabet: Alphabet = AB) -> ProofWord:
     Parentheses must balance and must not nest; conjugator segments must be
     freely reduced as written; relator segments must be non-empty.
     """
-    conjugators: list[Word] = []
-    relators: list[Word] = []
+    # conjugator, relator, ..., conjugator, as ProofWord.segments yields them
+    segments: list[Word] = []
     current: list[int] = []
-    in_relator = False
-    open_pos = 0
+    open_pos: int | None = None  # of the open '(', None outside a relator
     for i, item in scan(text, alphabet, "()"):
         if item == "(":
-            if in_relator:
+            if open_pos is not None:
                 raise ParseError("nested '(' in proof word", text, i)
-            conjugators.append(tuple(current))
+            segments.append(tuple(current))
             current = []
-            in_relator = True
             open_pos = i
         elif item == ")":
-            if not in_relator:
+            if open_pos is None:
                 raise ParseError("unmatched ')' in proof word", text, i)
             if not current:
                 raise ParseError("empty relator segment", text, open_pos)
-            relators.append(tuple(current))
+            segments.append(tuple(current))
             current = []
-            in_relator = False
+            open_pos = None
         else:
-            if not in_relator and current and current[-1] == -item:
+            if open_pos is None and current and current[-1] == -item:
                 raise ParseError("conjugating segment is not freely reduced", text, i)
             current.append(item)
-    if in_relator:
+    if open_pos is not None:
         raise ParseError("unclosed '(' in proof word", text, open_pos)
-    conjugators.append(tuple(current))
-    return ProofWord(tuple(conjugators), tuple(relators))
+    segments.append(tuple(current))
+    return ProofWord(tuple(segments[0::2]), tuple(segments[1::2]))
 
 
 def flatten(p: ProofWord) -> Word:
@@ -242,13 +240,12 @@ def verify(
     e-th power of a cyclically reduced word.  Failures are reported, not
     raised.
     """
-    if relators is None and exponent is None:
-        raise ValueError("verify needs a RelatorSet or an exponent")
     if relators is not None:
         bad = tuple(i for i, r in enumerate(p.relators) if r not in relators)
-    else:
-        assert exponent is not None
+    elif exponent is not None:
         bad = tuple(i for i, r in enumerate(p.relators) if _power_base(r, exponent) is None)
+    else:
+        raise ValueError("verify needs a RelatorSet or an exponent")
     return VerifyReport(
         flattens_to_target=flatten(p) == free_reduce(target),
         excision_trivial=excision_word(p) == (),

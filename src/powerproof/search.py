@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 
 from .proofwords import ProofWord, RelatorSet, flatten, fold, power_base, symmetrize, verify
 from .words import LETTERS, Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, order_key, word_str
@@ -150,12 +151,11 @@ def _beam_attempt(
     append index is read again at the level of the cancellation the cutoff
     needs, when that is more than h.
 
-    Words longer than the cutoff could never be chosen.  The cutoff of the
-    first depth starts at four times the start; each later depth starts it
-    at the cutoff the depth before ended with.  A depth whose start admits
-    fewer than beam_width candidates starts over at four times the start,
-    from no candidates and the depth's starting moves_tried, so it ends as
-    a single sweep from there would.
+    The cutoff of the first depth starts at four times the start; each
+    later depth starts it at the cutoff the depth before ended with.  A
+    depth whose start admits fewer than beam_width candidates starts over
+    at four times the start, from no candidates and the depth's starting
+    moves_tried, so it ends as a single sweep from there would.
     """
     if start == ():
         return ()
@@ -177,8 +177,7 @@ def _beam_attempt(
     # Words longer than the cutoff are never built.  It falls only while at
     # least `width` candidates are strictly shorter than it, so no word
     # beyond it could be chosen, and every word that could is still found
-    # first from the same parent.  The first depth starts it at max_len,
-    # every later one at the cutoff the depth before ended with.
+    # first from the same parent.
     cutoff = max_len
     for _ in range(config.max_moves):
         while True:
@@ -333,16 +332,14 @@ def reconstruct(log: MoveLog) -> ProofWord:
     conjs: list[Word] = []
     rels: list[Word] = []
     run: list[int] = []
-    before_last: list[int] = []
     for move in log.moves:
         if isinstance(move, int):
             run.append(move)
         else:
             conjs.append(free_reduce(tuple(run)))
-            before_last.extend(run)
             rels.append(move)
             run = []
-    conjs.append(free_reduce(invert(tuple(before_last))))
+    conjs.append(invert(free_reduce(chain.from_iterable(conjs))))
     return fold(ProofWord(tuple(conjs), tuple(rels)))
 
 

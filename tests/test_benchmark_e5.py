@@ -7,7 +7,6 @@ import hashlib
 
 import pytest
 
-from powerproof.bracelets import enumerate_lyndon
 from powerproof.cosets import Presentation, enumerate_cosets
 from powerproof.engel import engel_word
 from powerproof.fixtures import e5_proof
@@ -15,9 +14,7 @@ from powerproof.proofwords import distinct_presentation, power_base, proof_str, 
 from powerproof.search import SearchConfig, search, reconstruct
 from powerproof.words import AB, power
 
-
-def lyndon_bases(upto):
-    return [c.canonical for n in range(1, upto + 1) for c in enumerate_lyndon(AB, n)]
+from util import lyndon_bases
 
 
 def fixture_bases():

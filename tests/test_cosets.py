@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from powerproof import cosets
-from powerproof.bracelets import enumerate_lyndon, enumerate_reduced_bracelets
+from powerproof.bracelets import enumerate_reduced_bracelets
 from powerproof.cosets import (
     UNDEF,
     CosetTable,
@@ -27,6 +27,8 @@ from powerproof.search import SearchConfig, reconstruct, search
 from powerproof.words import AB, Alphabet, cyclic_reduce, free_reduce, invert, parse_word as P, power, word_str
 
 from util import (
+    bracelet_bases,
+    lyndon_bases,
     naive_scan_list,
     random_proof,
     random_reduced_word,
@@ -285,7 +287,7 @@ def benchmark_relators(order):
     powers of the 25 bracelets of length at most 4 (order 4096)."""
     if order == 8192:
         return distinct_presentation(e5_proof(), 4)
-    return [power(c.canonical, 4) for n in range(1, 5) for c in enumerate_reduced_bracelets(AB, n)]
+    return [power(b, 4) for b in bracelet_bases(4)]
 
 
 @lru_cache(maxsize=None)
@@ -326,7 +328,7 @@ def test_the_lyndon_4_table_certifies_e5_without_a_proof():
     # of order 4096.  B(2,4) is a quotient of it and has that order, so the
     # table is the regular action of B(2,4): a word is trivial there exactly
     # when it fixes a coset, and then it fixes every coset.
-    relators = [power(c.canonical, 4) for n in range(1, 5) for c in enumerate_lyndon(AB, n)]
+    relators = [power(b, 4) for b in lyndon_bases(4)]
     pres = Presentation(AB, tuple(relators))
     table = enumerate_cosets(pres)
     assert (len(relators), table.order, table.cosets_defined) == (17, 4096, 11_851)

@@ -9,6 +9,7 @@ import inspect
 import math
 import random
 import textwrap
+from itertools import chain
 
 import pytest
 
@@ -16,11 +17,12 @@ import test_cosets
 import test_proofwords
 import test_search
 from powerproof import cli, cosets, proofwords
-from powerproof.bracelets import enumerate_lyndon
 from powerproof.cosets import CosetTable, Presentation
 from powerproof.engel import engel_word
-from powerproof.proofwords import ProofWord, VerifyReport, symmetrize
-from powerproof.words import AB, parse_word, power, word_str
+from powerproof.proofwords import ProofWord, VerifyReport, fold, symmetrize
+from powerproof.words import AB, free_reduce, parse_word, power, word_str
+
+from util import lyndon_bases
 
 # the package's attribute ``search`` is the function, not the module
 search = importlib.import_module("powerproof.search")
@@ -134,6 +136,29 @@ def test_reconstruct_that_drops_the_trailing_conjugator_is_rejected(monkeypatch)
         oracle()
 
 
+def test_reconstruct_that_does_not_invert_the_closing_conjugator_is_rejected(monkeypatch):
+    oracle = test_search.test_decompile_cr_fixture
+    oracle()
+
+    def uninverted(log):
+        # search.reconstruct, closing with the kept conjugators' product
+        # itself instead of its inverse
+        conjs, rels, run = [], [], []
+        for move in log.moves:
+            if isinstance(move, int):
+                run.append(move)
+            else:
+                conjs.append(free_reduce(tuple(run)))
+                rels.append(move)
+                run = []
+        conjs.append(free_reduce(chain.from_iterable(conjs)))
+        return fold(ProofWord(tuple(conjs), tuple(rels)))
+
+    monkeypatch.setattr(test_search, "reconstruct", uninverted)
+    with pytest.raises(AssertionError):
+        oracle()
+
+
 def test_scan_list_that_drops_its_last_relator_is_rejected(monkeypatch):
     oracle = test_cosets.test_skipped_relators_leave_the_order_unchanged.hypothesis.inner_test
     oracle(test_cosets.A4_QUOTIENT, 2000)
@@ -182,7 +207,7 @@ def test_search_that_keeps_a_proof_that_does_not_verify_is_rejected(monkeypatch,
     # raises, and the CLI prints nothing; with the check patched out too, the
     # corrupted proof reaches stdout, so the check is what refuses it
     argv = ["search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3"]
-    relators = symmetrize([c.canonical for n in range(1, 4) for c in enumerate_lyndon(AB, n)], 3)
+    relators = symmetrize(lyndon_bases(3), 3)
     assert search.search(engel_word(2), relators).proof is not None
     assert cli.main(argv) == 0 and capsys.readouterr().out != "(aaa)\n"
     monkeypatch.setattr(search, "reconstruct", lambda log: ProofWord(((), ()), ((1, 1, 1),)))

@@ -10,9 +10,9 @@ import pytest
 
 import powerproof
 from powerproof import AB, Presentation, distinct_presentation, e5_proof, engel_word
-from powerproof import enumerate_lyndon, group_order, search, symmetrize, verify
+from powerproof import group_order, search, symmetrize, verify
 
-from util import package_env
+from util import lyndon_bases, package_env
 
 
 def test_a_child_imports_the_package_under_test(tmp_path):
@@ -26,7 +26,7 @@ def test_a_child_imports_the_package_under_test(tmp_path):
 def test_the_top_level_names_return_checked_results():
     # search's proof verifies, and group_order reads 8192 from a table that
     # passed its check
-    relators = symmetrize([c.canonical for n in range(1, 5) for c in enumerate_lyndon(AB, n)], 3)
+    relators = symmetrize(lyndon_bases(4), 3)
     result = search(engel_word(2), relators)
     assert verify(result.proof, engel_word(2), relators=relators).valid
     assert group_order(Presentation(AB, tuple(distinct_presentation(e5_proof(), 4))))[0] == 8192

@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from powerproof.engel import engel_word
@@ -25,6 +25,7 @@ from powerproof.proofwords import (
     verify,
 )
 from powerproof.words import (
+    Alphabet,
     ParseError,
     cyclic_reduce,
     free_reduce,
@@ -197,12 +198,16 @@ def test_parse_proof_errors():
     with pytest.raises(ParseError) as exc:
         parse_proof("a((bb))")
     assert exc.value.position == 2
-    with pytest.raises(ParseError):
-        parse_proof(")aa(")
-    with pytest.raises(ParseError):
-        parse_proof("(aa")
-    with pytest.raises(ParseError):
-        parse_proof("a()b")
+    # the message and the position of each error, an empty relator's at its '('
+    for text, message, position in [
+        (")aa(", "unmatched ')' in proof word", 0),
+        ("(aa", "unclosed '(' in proof word", 0),
+        ("a()b", "empty relator segment", 1),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_proof(text)
+        assert str(exc.value) == f"{message} at line 1, column {position + 1} (position {position})"
+        assert exc.value.position == position
     with pytest.raises(ParseError) as exc:
         parse_proof("aA(bb)")
     assert exc.value.position == 1
@@ -226,6 +231,23 @@ def test_parse_error_names_line_and_column():
 def test_proof_str_round_trip():
     text = "a(babababa)A"
     assert proof_str(parse_proof(text)) == text
+
+
+@st.composite
+def ranked_proofs(draw):
+    """(rank, a valid proof word over bracelet bases of that rank)"""
+    rank = draw(st.integers(1, 3))
+    bases = draw(st.lists(st.sampled_from(bracelet_bases(3, rank)), min_size=1, max_size=4))
+    relators = symmetrize(bases, draw(st.integers(1, 5)))
+    return rank, random_proof(draw(st.randoms()), relators, draw(st.integers(0, 5)), 3, rank=rank)
+
+
+@given(ranked_proofs())
+@example((2, ProofWord(((), ()), (P("aaaa"),))))  # a lone relator
+@example((2, ProofWord(((), P("b"), ()), (P("aaaa"), P("BBBB")))))  # empty outer conjugators
+def test_parse_proof_inverts_proof_str(case):
+    rank, p = case
+    assert parse_proof(proof_str(p), Alphabet(rank)) == p
 
 
 def test_proofword_shape_validation():
@@ -298,7 +320,7 @@ def test_verify_exponent_only_flags_non_powers():
 
 
 def test_verify_needs_relator_rule():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^verify needs a RelatorSet or an exponent$"):
         verify(parse_proof("(aaaa)"), P("aaaa"))
 
 

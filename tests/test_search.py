@@ -87,7 +87,7 @@ def test_search_not_found_reports_outcome():
 
 def test_search_requires_freely_reduced_target():
     rs = symmetrize([P("a")], 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^search target must be freely reduced, got 'aaAaaa'$"):
         search(P("aaAaaa"), rs, SMALL)
 
 

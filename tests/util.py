@@ -12,11 +12,11 @@ import random
 from collections import deque
 
 import powerproof
-from powerproof.bracelets import enumerate_reduced_bracelets
+from powerproof.bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, CosetTable, Presentation
 from powerproof.proofwords import ProofWord, RelatorSet
 from powerproof.search import MoveLog, SearchConfig, apply_move
-from powerproof.words import AB, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, power, rotations
+from powerproof.words import AB, Alphabet, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, power, rotations
 
 
 def package_env(**extra: str) -> dict[str, str]:
@@ -304,9 +304,15 @@ def random_reduced_word(rng: random.Random, length: int, rank: int = 2) -> Word:
     return tuple(out)
 
 
-def bracelet_bases(max_len: int) -> list[Word]:
-    """Canonical representatives of every reduced bracelet up to max_len."""
-    return [c.canonical for n in range(1, max_len + 1) for c in enumerate_reduced_bracelets(AB, n)]
+def bracelet_bases(max_len: int, rank: int = 2) -> list[Word]:
+    """Canonical representatives of every reduced bracelet of the given rank
+    up to max_len."""
+    return [c.canonical for n in range(1, max_len + 1) for c in enumerate_reduced_bracelets(Alphabet(rank), n)]
+
+
+def lyndon_bases(max_len: int) -> list[Word]:
+    """The Lyndon words over a and b up to max_len, shortest first."""
+    return [c.canonical for n in range(1, max_len + 1) for c in enumerate_lyndon(AB, n)]
 
 
 def random_proof(
