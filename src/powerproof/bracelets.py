@@ -27,7 +27,7 @@ class BraceletClass:
 
 
 # The longest word whose rotations are cut in one call: its 2n <= 64
-# rotations, 2n^2 <= 2,048 characters, are alive at once.
+# rotations, 2n^2 <= 2,048 key bytes, are alive at once.
 _CUT_MAX = 32
 
 
@@ -50,17 +50,18 @@ def _rotation_cut(n: int) -> itemgetter:
 def bracelet_canon(w: Word) -> Word:
     """Canonical representative of the class of w, as a tuple.
 
-    Works on order keys: with ``s`` the key of w and ``u`` the key of its
-    letterwise inverse, w is cyclically reduced when no ``u[i]`` equals
-    ``s[i + 1]`` (cyclically), the rotations of w are the length-n slices
-    of ``ss = s + s`` and those of its inverse the length-n slices of
-    ``tt``, reversed u + u.  For a word of at most ``_CUT_MAX`` letters, one
-    call of the cutter ``_rotation_cut(n)`` cuts all 2n rotations out of
-    ``ss + tt`` in C, so at most 64 rotations are alive at once; a longer
-    word's rotations are cut one at a time, so no more than two are.  The
-    least rotation is the representative.  When that is s itself, as for
-    every class the enumerator lists, w is returned as a tuple without
-    decoding the key.
+    Works on order keys, which are bytes: with ``s`` the key of w and ``u``
+    the key of its letterwise inverse, w is cyclically reduced when no byte
+    ``u[i]`` equals ``s[i + 1]`` (cyclically), the rotations of w are the
+    length-n slices of ``ss = s + s`` and those of its inverse the length-n
+    slices of ``tt``, reversed u + u.  For a word of at most ``_CUT_MAX``
+    letters, one call of the cutter ``_rotation_cut(n)`` cuts all 2n
+    rotations out of ``ss + tt`` in C, so at most 64 rotations are alive at
+    once; a longer word's rotations are cut one at a time, so no more than
+    two are.  The least rotation, compared as bytes, which is the letter
+    order, is the representative.  When that is s itself, as for every
+    class the enumerator lists, w is returned as a tuple without decoding
+    the key.
     """
     if not w:
         raise ValueError("the empty word has no bracelet class")

@@ -28,7 +28,7 @@ from .proofwords import (
     symmetrize,
     verify,
 )
-from .search import SearchConfig, search
+from .search import MAX_BEAM, SearchConfig, search
 from .words import AB, MAX_RANK, Alphabet, Word, cyclic_reduce, free_reduce, parse_word, word_str
 
 
@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[target, rank, bases], help="search for a proof word for a target")
     p.add_argument("--exponent", type=_exponent, required=True)
     defaults = SearchConfig()
-    p.add_argument("--beam", type=_positive_int, default=defaults.beam_width)
+    p.add_argument("--beam", type=_int_in(1, MAX_BEAM), default=defaults.beam_width)
     p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves)
     p.add_argument("--restarts", type=_int_in(0), default=defaults.restarts)
     p.add_argument("--seed", type=int, default=defaults.seed)

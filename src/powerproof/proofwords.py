@@ -39,7 +39,7 @@ from .words import (
 
 # The largest exponent a relator set takes.  A member of length m has m + 1
 # append index levels, keyed by its inverse prefixes of every length, so the
-# index holds about m^2 / 2 key characters per member: it grows with the
+# index holds about m^2 / 2 key bytes per member: it grows with the
 # square of the exponent.
 MAX_EXPONENT = 64
 
@@ -81,14 +81,15 @@ class RelatorSet:
         """One levels list per member length m, ascending, so that
         m = len(levels) - 1.  levels[k] for k from 0 to m maps the key of the
         inverse of a k-letter prefix to the entries of the members that
-        start with that prefix, in key order; levels[0][""] lists them all.
+        start with that prefix, in key order; levels[0][b""] lists them all.
 
         Each member has one entry, (member, key, inverse prefixes), shared by
         its m + 1 levels; inverse_prefixes[j] is the key of the inverse of
         the member's first j letters, so a state cancels at least j letters
-        of the member exactly when it ends with that string.
+        of the member exactly when its key ends with those bytes.  Keys are
+        order keys (bytes), as are the search's states.
         """
-        by_length: dict[int, list[dict[str, list[tuple]]]] = {}
+        by_length: dict[int, list[dict[bytes, list[tuple]]]] = {}
         for key, r in sorted((order_key(r), r) for r in self.members):
             m = len(r)
             # the inverse of r[:k] is the last k letters of the inverse of r

@@ -46,6 +46,17 @@ def replay(log: MoveLog) -> Word:
     return w
 
 
+# The widest beam the CLI's --beam takes.  The beam's memory grows with its
+# width and with the depths it runs.  The E5 search over the Lyndon bases up
+# to length 5 (--max-moves 400, found after about 95 depths) peaked at
+# 139 MB RSS at width 10,000 and 259 MB at 20,000; a search that fails
+# through all 256 default depths (E5 over the Lyndon bases up to length 3)
+# peaked at 75 MB at width 2,000 and 247 MB at 8,000, about 29 KB per unit
+# of width, so it would cross 1 GB near 35,000.  SearchConfig takes any
+# width, since a wide beam run for a few depths stays small.
+MAX_BEAM = 20_000
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     beam_width: int = 1000
@@ -114,7 +125,7 @@ class _HalfRuleMemo(dict):
             self.index.append((m, h, levels, {key[self.tail] for key in levels[h]}))
         self.longest = self.index[-1][0] if self.index else 0
 
-    def __missing__(self, near: tuple[str, int]) -> list:
+    def __missing__(self, near: tuple[bytes, int]) -> list:
         # t is w[-_TAIL:].  If h <= _TAIL, tails is the key set of level h;
         # if not, n >= m > 2 * _TAIL, so t[-h:] is t.
         t, n = near
@@ -134,11 +145,12 @@ def _beam_attempt(
     """One deterministic beam run; returns the moves reaching the empty word
     from start, or None.
 
-    States are order keys (see words.order_key): they hash once, slice in
-    C, and rank in the a < A < b < B letter order.  A conjugation child's
-    length is read from the end letters of its parent before it is built,
-    and a child of the conjugation by g never builds its conjugation by
-    g^-1, which is its parent.  moves_tried still counts every conjugation
+    States are order keys (see words.order_key), bytes: they hash once,
+    slice in C, and rank in the a < A < b < B letter order.  A conjugation
+    child's length is read from its parent's end letters, the int codes
+    w[0] and w[-1], before it is built, and a child of the conjugation by g
+    never builds its conjugation by g^-1, which is its parent.  An empty
+    key, b"", is the empty word.  moves_tried still counts every conjugation
     of every state.  Appends follow the half rule: a member no longer than
     the state is offered only if it cancels at least half of itself against
     the state, and every longer member is offered; moves_tried counts every
@@ -163,11 +175,16 @@ def _beam_attempt(
     width = config.beam_width
     half_rule = _HalfRuleMemo(relators.append_index)
     tail_of, longest = half_rule.tail, half_rule.longest
-    # Conjugation by g maps w to g^-1 w g: (g, g^-1, letter, onward) with g
-    # and g^-1 as keys.  onward lists the conjugations the child tries: all
-    # but the one by g^-1, which would give back the parent, always visited.
-    conjugations = [(order_key((g,)), order_key((-g,)), g, []) for g in letters]
-    for _, g_inv, _, onward in conjugations:
+    # Conjugation by g maps w to g^-1 w g: (g, g^-1, g's key, g^-1's key,
+    # letter, onward), with g and g^-1 as key codes, the ints that a key's
+    # end letters w[0] and w[-1] are, beside their 1-byte keys to
+    # concatenate.  onward lists the conjugations the child tries: all but
+    # the one by g^-1, which would give back the parent, always visited.
+    conjugations = []
+    for g in letters:
+        key = order_key((g, -g))
+        conjugations.append((key[0], key[1], key[:1], key[1:], g, []))
+    for _, g_inv, _, _, _, onward in conjugations:
         onward += [c for c in conjugations if c[0] != g_inv]
     start_key = order_key(start)
     visited = {start_key}
@@ -182,11 +199,11 @@ def _beam_attempt(
     for _ in range(config.max_moves):
         while True:
             # Each new word's node, which joins the beam as it is if chosen.
-            # Only this insertion-ordered dict is iterated: str hashes are
+            # Only this insertion-ordered dict is iterated: bytes hashes are
             # salted per process, so iterating a set of keys would not be
             # deterministic.
-            candidates: dict[str, tuple] = {}
-            by_length: list[list[str]] = [[] for _ in range(max_len + 1)]
+            candidates: dict[bytes, tuple] = {}
+            by_length: list[list[bytes]] = [[] for _ in range(max_len + 1)]
             kept = 0  # candidates no longer than the cutoff
             # every state counts every conjugation, built or not
             tried = result.moves_tried + len(beam) * len(conjugations)
@@ -194,7 +211,7 @@ def _beam_attempt(
                 w, _, _, tries = node
                 n = len(w)
                 head, tail = w[0], w[-1]
-                for g, g_inv, letter, onward in tries:
+                for g, g_inv, g_key, g_inv_key, letter, onward in tries:
                     # The end letters give the child's length before it is
                     # built: g^-1 cancels a leading g, and g a trailing g^-1.
                     # The cutoff can fall below n, so rotations are tested too.
@@ -206,15 +223,15 @@ def _beam_attempt(
                         elif n > cutoff:
                             continue
                         else:
-                            word = w[1:] + g
+                            word = w[1:] + g_key
                     elif g_inv == tail:
                         if n > cutoff:
                             continue
-                        word = g_inv + w[:-1]
+                        word = g_inv_key + w[:-1]
                     elif n + 2 > cutoff:
                         continue
                     else:
-                        word = g_inv + w + g
+                        word = g_inv_key + w + g_key
                     if word not in visited and word not in candidates:
                         candidates[word] = (word, node, letter, onward)
                         by_length[len(word)].append(word)
@@ -260,10 +277,10 @@ def _beam_attempt(
         if not candidates:
             return None
         if by_length[0]:
-            return _moves_of(candidates[""])
+            return _moves_of(candidates[b""])
         # Rank by (length, key): sort each length natively, shortest first,
         # until the beam is full.
-        chosen: list[str] = []
+        chosen: list[bytes] = []
         for bucket in by_length[: cutoff + 1]:
             chosen += sorted(bucket)[: width - len(chosen)]
             if len(chosen) == width:

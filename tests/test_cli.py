@@ -13,6 +13,7 @@ from powerproof.cli import main
 from powerproof.cosets import CosetTable, Presentation, enumerate_cosets
 from powerproof.fixtures import e5_proof
 from powerproof.proofwords import ProofWord, distinct_presentation
+from powerproof.search import MAX_BEAM
 from powerproof.words import AB, Alphabet, parse_word as P, word_str
 
 from test_cosets import benchmark_relators, shuffled_benchmark_orders
@@ -247,12 +248,23 @@ SEARCH_E2 = ("search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3")
         (("verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "0"), "--exponent"),
         # it used to skip the membership check and print VALID
         (("verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4", "--max-base-len", "0"), "--max-base-len"),
+        # the beam width is bounded (search.MAX_BEAM): the beam's memory grows
+        # with it
+        ((*SEARCH_E2, "--beam", "1000000000"), "--beam"),
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, argv, option):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert f"argument {option}:" in err
+
+
+def test_beam_wider_than_max_beam_is_a_usage_error(capsys):
+    # MAX_BEAM itself parses; no search runs at that width
+    assert cli.build_parser().parse_args([*SEARCH_E2, "--beam", str(MAX_BEAM)]).beam == MAX_BEAM == 20_000
+    code, out, err = run(capsys, *SEARCH_E2, "--beam", str(MAX_BEAM + 1))
+    assert (code, out) == (2, "")
+    assert err.endswith("powerproof search: error: argument --beam: must be between 1 and 20000, got 20001\n")
 
 
 def test_search_and_verify_at_rank_three(tmp_path, capsys):
@@ -698,9 +710,12 @@ def test_python_dash_m_runs_the_command(tmp_path):
 
 @pytest.mark.slow
 def test_search_is_identical_across_hash_seeds(tmp_path):
-    # str hashes are salted per process; the beam keeps its states as
-    # strings, so two seeds must still give the same proof and counters
-    argv = [sys.executable, "-m", "powerproof", "search", "--engel", "5", "--exponent", "4",
+    # bytes hashes are salted per process; the beam keeps its states as
+    # bytes, so two seeds must still give the same proof and counters.  -bb
+    # makes any comparison of str with bytes raise, and hash("ab") equals
+    # hash(b"ab"), so a str key looked up among bytes keys (in the beam, the
+    # append index or the bracelet canon) raises instead of missing
+    argv = [sys.executable, "-bb", "-m", "powerproof", "search", "--engel", "5", "--exponent", "4",
             "--lyndon-upto", "5", "--beam", "300", "--max-moves", "400"]
     runs = []
     for seed in ("1", "2"):

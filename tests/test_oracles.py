@@ -122,6 +122,23 @@ def test_beam_cutoff_one_too_low_is_rejected(monkeypatch):
         assert failed >= 2
 
 
+def test_append_lookup_with_a_str_key_is_rejected(monkeypatch):
+    # the append index is keyed by bytes, as the states are; a lookup by the
+    # state's tail as str misses every bucket without an error, so the beam
+    # offers no append at all and only conjugates: every example fails
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    source = inspect.getsource(search._beam_attempt)
+    lookup = "levels[h].get(w[n - h :])"
+    assert source.count(lookup) == 1
+    namespace = dict(vars(search))
+    exec(compile(source.replace(lookup, "levels[h].get(w[n - h :].decode())"), search.__file__, "exec"), namespace)
+    monkeypatch.setattr(search, "_beam_attempt", namespace["_beam_attempt"])
+    for example in oracle.hypothesis_explicit_examples:
+        with pytest.raises(AssertionError):
+            oracle.hypothesis.inner_test(*example.args, **example.kwargs)
+
+
 def test_reconstruct_that_drops_the_trailing_conjugator_is_rejected(monkeypatch):
     oracle = test_search.test_reconstruct_with_outer_conjugator
     oracle()

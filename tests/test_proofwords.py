@@ -105,7 +105,7 @@ def test_append_index_files_one_entry_per_member_at_every_level(bases, exponent)
     for levels in index:
         m = len(levels) - 1
         # level 0 lists every member of length m, in key order
-        of_length = levels[0][""]
+        of_length = levels[0][b""]
         assert [r for r, *_ in of_length] == [r for r in members if len(r) == m]
         for r, key, inverse_prefixes in of_length:
             assert key == order_key(r)
@@ -129,7 +129,7 @@ def test_append_index_example():
     rs = symmetrize([P("ab")], 2)  # abab, baba, BABA, ABAB
     (levels,) = rs.append_index
     assert len(levels) == 4 + 1
-    assert [r for r, *_ in levels[0][""]] == [P("abab"), P("ABAB"), P("baba"), P("BABA")]
+    assert [r for r, *_ in levels[0][b""]] == [P("abab"), P("ABAB"), P("baba"), P("BABA")]
     # a state ending in BA cancels at least half of abab, and only of abab
     assert [r for r, *_ in levels[2][order_key(P("BA"))]] == [P("abab")]
     assert [r for r, *_ in levels[3][order_key(P("BAB"))]] == [P("baba")]

@@ -288,7 +288,7 @@ def _half_rule_buckets(entries, w):
         levels = entry[2]
         m = len(levels) - 1
         h = (m + 1) // 2
-        bucket = levels[0][""] if m > n else levels[h].get(w[n - h :])
+        bucket = levels[0][b""] if m > n else levels[h].get(w[n - h :])
         if bucket is not None:
             out.append((m, bucket))
     return out

@@ -190,10 +190,11 @@ def reduced_words_of_rank(rank):
 ranked_words = st.integers(2, 26).flatmap(lambda rank: st.lists(reduced_words_of_rank(rank), max_size=8))
 
 
-def test_pack_is_ascii_one_letter_per_code_point():
+def test_order_key_is_ascii_bytes_one_byte_per_letter():
     w = (-26, -1, 1, 26)
+    assert type(order_key(w)) is bytes
     assert order_key(w).isascii() and len(order_key(w)) == len(w)
-    assert order_key(()) == ""
+    assert order_key(()) == b""
 
 
 @given(ranked_words)
