@@ -189,6 +189,27 @@ _exponent = _int_in(1, MAX_EXPONENT)
 _rank = _int_in(1, MAX_RANK)
 
 
+# The beam's memory grows with its width times the depths it runs, so search
+# takes --beam times --max-moves only up to MAX_BEAM times the default
+# --max-moves: about 29 KB per unit of width over 256 failing depths puts
+# that bound near 600 MB.
+_MAX_BEAM_MOVES = MAX_BEAM * SearchConfig().max_moves
+
+
+class _BeamMoves(argparse.Action):
+    """Stores --beam or --max-moves, and refuses the two once their product
+    is over _MAX_BEAM_MOVES; an option not given yet counts at its default."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        if namespace.beam * namespace.max_moves > _MAX_BEAM_MOVES:
+            raise argparse.ArgumentError(
+                self,
+                f"--beam {namespace.beam} times --max-moves {namespace.max_moves} "
+                f"must be at most {_MAX_BEAM_MOVES}",
+            )
+
+
 def _alphabet(text: str) -> Alphabet:
     """An argparse type: the alphabet of the given rank."""
     return Alphabet(_rank(text))
@@ -247,8 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[target, rank, bases], help="search for a proof word for a target")
     p.add_argument("--exponent", type=_exponent, required=True)
     defaults = SearchConfig()
-    p.add_argument("--beam", type=_int_in(1, MAX_BEAM), default=defaults.beam_width)
-    p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves)
+    p.add_argument("--beam", type=_int_in(1, MAX_BEAM), default=defaults.beam_width, action=_BeamMoves)
+    p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves, action=_BeamMoves)
     p.add_argument("--restarts", type=_int_in(0), default=defaults.restarts)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--base-subset", type=_positive_int, default=defaults.base_subset_size)

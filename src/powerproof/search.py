@@ -16,7 +16,18 @@ from dataclasses import dataclass
 from itertools import chain
 
 from .proofwords import ProofWord, RelatorSet, flatten, fold, power_base, symmetrize, verify
-from .words import LETTERS, Word, conjugate, cyclic_reduce, free_reduce, invert, is_freely_reduced, order_key, word_str
+from .words import (
+    LETTERS,
+    Word,
+    conjugate,
+    cyclic_reduce,
+    free_reduce,
+    invert,
+    is_freely_reduced,
+    letter_index,
+    order_key,
+    word_str,
+)
 
 
 # A move is a signed generator letter g, conjugation w -> g^-1 w g, or a
@@ -52,8 +63,10 @@ def replay(log: MoveLog) -> Word:
 # 139 MB RSS at width 10,000 and 259 MB at 20,000; a search that fails
 # through all 256 default depths (E5 over the Lyndon bases up to length 3)
 # peaked at 75 MB at width 2,000 and 247 MB at 8,000, about 29 KB per unit
-# of width, so it would cross 1 GB near 35,000.  SearchConfig takes any
-# width, since a wide beam run for a few depths stays small.
+# of width, so it would cross 1 GB near 35,000.  The CLI also bounds the
+# width times the depths, at MAX_BEAM times the default max_moves.
+# SearchConfig takes any width and depths, since a wide beam run for a few
+# depths stays small.
 MAX_BEAM = 20_000
 
 
@@ -147,37 +160,44 @@ def _beam_attempt(
 
     States are order keys (see words.order_key), bytes: they hash once,
     slice in C, and rank in the a < A < b < B letter order.  A conjugation
-    child's length is read from its parent's end letters, the int codes
-    w[0] and w[-1], before it is built, and a child of the conjugation by g
-    never builds its conjugation by g^-1, which is its parent.  An empty
-    key, b"", is the empty word.  moves_tried still counts every conjugation
-    of every state.  Appends follow the half rule: a member no longer than
-    the state is offered only if it cancels at least half of itself against
-    the state, and every longer member is offered; moves_tried counts every
-    offered member.  Each member length that _HalfRuleMemo keeps for the
-    state is looked up once, at the level h it gives: the half rule's, or
-    0, whose one bucket lists every member, when the members are longer
-    than the state.  A length it leaves out would find no bucket, so
-    nothing offered changes.  Of the offered members, only the ones whose
-    appended word is within the length cutoff are built: the relator set's
-    append index is read again at the level of the cancellation the cutoff
-    needs, when that is more than h.
+    child's length and first letter are read from its parent's letters w[0],
+    w[1] and w[-1], int codes, before it is built, and a child of the
+    conjugation by g never builds its conjugation by g^-1, which is its
+    parent.  An empty key, b"", is the empty word.  moves_tried still
+    counts every conjugation of every state.  Appends follow the half rule:
+    a member no longer than the state is offered only if it cancels at
+    least half of itself against the state, and every longer member is
+    offered; moves_tried counts every offered member.  Each member length
+    that _HalfRuleMemo keeps for the state is looked up once, at the level h
+    it gives: the half rule's, or 0, whose one bucket lists every member,
+    when the members are longer than the state.  A length it leaves out
+    would find no bucket, so nothing offered changes.  Of the offered
+    members, only the ones whose appended word is within the class cutoff
+    are built: the relator set's append index is read again at the level of
+    the cancellation that the cutoff's length needs, when that is more than
+    h, and each member's exact cancellation then gives its word's class.
 
-    The cutoff of the first depth starts at four times the start; each
-    later depth starts it at the cutoff the depth before ended with.  A
-    depth whose start admits fewer than beam_width candidates starts over
-    at four times the start, from no candidates and the depth's starting
-    moves_tried, so it ends as a single sweep from there would.
+    A word's class is (length, first letter), the index len * span + the
+    first letter's index, span being 1 + the largest letter index of
+    letters; the empty word is class 0.  The cutoff of the first depth
+    starts at the top class, whose words are four times as long as the
+    start; each later depth starts it one class above the class the depth
+    before ended with.  A depth whose start admits fewer than beam_width
+    candidates starts over at the top class, from no candidates and the
+    depth's starting moves_tried, so it ends as a single sweep from there
+    would.
     """
     if start == ():
         return ()
-    max_len = 4 * len(start)
+    span = 1 + max(map(letter_index, letters))
+    two_spans = 2 * span
+    top = 4 * len(start) * span + span - 1
     width = config.beam_width
     half_rule = _HalfRuleMemo(relators.append_index)
     tail_of, longest = half_rule.tail, half_rule.longest
     # Conjugation by g maps w to g^-1 w g: (g, g^-1, g's key, g^-1's key,
     # letter, onward), with g and g^-1 as key codes, the ints that a key's
-    # end letters w[0] and w[-1] are, beside their 1-byte keys to
+    # letters w[0], w[1] and w[-1] are, beside their 1-byte keys to
     # concatenate.  onward lists the conjugations the child tries: all but
     # the one by g^-1, which would give back the parent, always visited.
     conjugations = []
@@ -191,11 +211,12 @@ def _beam_attempt(
     # A node is (word, parent, move, the conjugations it tries), the move
     # being its conjugation letter or its appended member.
     beam = [(start_key, None, None, conjugations)]
-    # Words longer than the cutoff are never built.  It falls only while at
-    # least `width` candidates are strictly shorter than it, so no word
-    # beyond it could be chosen, and every word that could is still found
-    # first from the same parent.
-    cutoff = max_len
+    # Words of a class above the cutoff are never built.  It falls only
+    # while at least `width` candidates are of a class strictly below it.
+    # In (length, key) order every word of a class comes before every word
+    # of the next, so no word beyond the cutoff could be chosen, and every
+    # word that could is still found first from the same parent.
+    cutoff = top
     for _ in range(config.max_moves):
         while True:
             # Each new word's node, which joins the beam as it is if chosen.
@@ -203,38 +224,49 @@ def _beam_attempt(
             # salted per process, so iterating a set of keys would not be
             # deterministic.
             candidates: dict[bytes, tuple] = {}
-            by_length: list[list[bytes]] = [[] for _ in range(max_len + 1)]
-            kept = 0  # candidates no longer than the cutoff
+            by_class: list[list[bytes]] = [[] for _ in range(cutoff + 1)]
+            kept = 0  # candidates of a class no higher than the cutoff
             # every state counts every conjugation, built or not
             tried = result.moves_tried + len(beam) * len(conjugations)
             for node in beam:
                 w, _, _, tries = node
                 n = len(w)
                 head, tail = w[0], w[-1]
+                # the class of a word of length n, less its first letter's
+                # code (0x41 + its index), and of one of length n + 2
+                base = n * span - 0x41
+                grown = base + two_spans
                 for g, g_inv, g_key, g_inv_key, letter, onward in tries:
-                    # The end letters give the child's length before it is
+                    # The end letters give the child's class before it is
                     # built: g^-1 cancels a leading g, and g a trailing g^-1.
-                    # The cutoff can fall below n, so rotations are tested too.
+                    # The cutoff can fall below w's class, so rotations are
+                    # tested too.  At n = 1 the rotation is w, always visited.
                     if g == head:
                         if g_inv == tail:
-                            if n - 2 > cutoff:
+                            c = base - two_spans + w[1]
+                            if c > cutoff:
                                 continue
                             word = w[1:-1]
-                        elif n > cutoff:
+                        elif n == 1:
                             continue
                         else:
+                            c = base + w[1]
+                            if c > cutoff:
+                                continue
                             word = w[1:] + g_key
                     elif g_inv == tail:
-                        if n > cutoff:
+                        c = base + g_inv
+                        if c > cutoff:
                             continue
                         word = g_inv_key + w[:-1]
-                    elif n + 2 > cutoff:
-                        continue
                     else:
+                        c = grown + g_inv
+                        if c > cutoff:
+                            continue
                         word = g_inv_key + w + g_key
                     if word not in visited and word not in candidates:
                         candidates[word] = (word, node, letter, onward)
-                        by_length[len(word)].append(word)
+                        by_class[c].append(word)
                         kept += 1
                 for m, h, levels in half_rule[w[tail_of], n if n < longest else longest]:
                     # The half rule's bucket: members of length m that
@@ -243,9 +275,10 @@ def _beam_attempt(
                     if bucket is None:
                         continue
                     tried += len(bucket)
-                    # Within the cutoff needs a cancellation of k letters;
-                    # above h only the members in the k-level bucket have it.
-                    k = (n + m - cutoff + 1) // 2
+                    # Within the cutoff's length needs a cancellation of k
+                    # letters; above h only the members in the k-level
+                    # bucket have it.
+                    k = (n + m - cutoff // span + 1) // 2
                     if k > h:
                         if k > m or k > n:
                             continue
@@ -254,40 +287,53 @@ def _beam_attempt(
                             continue
                     else:
                         k = h
-                    # each member's exact cancellation is counted up from k
+                    # the class of the word that cancels j < n letters, at j = 0
+                    appended = base + m * span + head
+                    # each member's exact cancellation is counted up from k;
+                    # it gives the word's class before the word is built
                     for member, key, inverse_prefixes in bucket:
                         j = k
                         while j < m and w.endswith(inverse_prefixes[j + 1]):
                             j += 1
+                        if j < n:
+                            c = appended - j * two_spans
+                        elif j < m:
+                            c = (m - n) * span + key[n] - 0x41
+                        else:
+                            c = 0  # the empty word
+                        if c > cutoff:
+                            continue
                         word = w[: n - j] + key[j:]
                         if word not in visited and word not in candidates:
                             candidates[word] = (word, node, member, conjugations)
-                            by_length[len(word)].append(word)
+                            by_class[c].append(word)
                             kept += 1
-                while kept - len(by_length[cutoff]) >= width:
-                    kept -= len(by_length[cutoff])
+                while kept - len(by_class[cutoff]) >= width:
+                    kept -= len(by_class[cutoff])
                     cutoff -= 1
             # Fewer than `width` words within the carried start leave room
-            # for longer ones, so the depth starts over at max_len.
-            if kept >= width or cutoff == max_len:
+            # for others, so the depth starts over at the top class.
+            if kept >= width or cutoff == top:
                 break
-            cutoff = max_len
+            cutoff = top
         # written once per depth, before any way out of the attempt
         result.moves_tried = tried
         if not candidates:
             return None
-        if by_length[0]:
+        if b"" in candidates:
             return _moves_of(candidates[b""])
-        # Rank by (length, key): sort each length natively, shortest first,
-        # until the beam is full.
+        # Rank by (length, key): sort each class natively, lowest first,
+        # until the beam is full; most classes are empty.
         chosen: list[bytes] = []
-        for bucket in by_length[: cutoff + 1]:
+        for bucket in filter(None, by_class[: cutoff + 1]):
             chosen += sorted(bucket)[: width - len(chosen)]
             if len(chosen) == width:
                 break
         beam = [candidates[word] for word in chosen]
         visited.update(chosen)
         result.states_visited += len(beam)
+        # the next depth starts one class above the class this one ended at
+        cutoff = min(cutoff + 1, top)
     return None
 
 

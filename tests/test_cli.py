@@ -267,6 +267,30 @@ def test_beam_wider_than_max_beam_is_a_usage_error(capsys):
     assert err.endswith("powerproof search: error: argument --beam: must be between 1 and 20000, got 20001\n")
 
 
+def test_beam_times_max_moves_over_its_bound_is_a_usage_error(capsys):
+    # --beam times --max-moves is bounded by MAX_BEAM times the default
+    # --max-moves; the parser refuses a product over it, naming the option
+    # that crosses it, so no search runs.  E5's 1000 x 400 and the bound
+    # itself parse.
+    parser = cli.build_parser()
+    for beam, moves in ((1000, 400), (MAX_BEAM, 256), (1000, 5120)):
+        args = parser.parse_args([*SEARCH_E2, "--beam", str(beam), "--max-moves", str(moves)])
+        assert (args.beam, args.max_moves) == (beam, moves)
+    for argv, option in (
+        (["--beam", "20000", "--max-moves", "257"], "--max-moves"),
+        (["--max-moves", "257", "--beam", "20000"], "--beam"),
+        (["--max-moves", "5121"], "--max-moves"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([*SEARCH_E2, *argv])
+        assert exc.value.code == 2
+        beam, moves = (20000, 257) if "--beam" in argv else (1000, 5121)
+        assert capsys.readouterr().err.endswith(
+            f"powerproof search: error: argument {option}: --beam {beam} times --max-moves {moves} "
+            "must be at most 5120000\n"
+        )
+
+
 def test_search_and_verify_at_rank_three(tmp_path, capsys):
     target = tmp_path / "t.w"
     target.write_text("cccc\n")

@@ -101,25 +101,55 @@ def test_order_test_that_checks_only_the_kth_power_is_rejected(monkeypatch):
             oracle(*path)
 
 
+def patch_beam_attempt(monkeypatch, *replacements):
+    """Put _beam_attempt, its source rewritten by (old, new) pairs, into the
+    search module; each old text must occur in the source."""
+    source = inspect.getsource(search._beam_attempt)
+    for old, new in replacements:
+        assert old in source
+        source = source.replace(old, new)
+    namespace = dict(vars(search))
+    exec(compile(source, search.__file__, "exec"), namespace)
+    monkeypatch.setattr(search, "_beam_attempt", namespace["_beam_attempt"])
+
+
+def failed_examples(test):
+    """How many of a property's @example inputs fail it."""
+    failed = 0
+    for example in test.hypothesis_explicit_examples:
+        try:
+            test.hypothesis.inner_test(*example.args, **example.kwargs)
+        except AssertionError:
+            failed += 1
+    return failed
+
+
 def test_beam_cutoff_one_too_low_is_rejected(monkeypatch):
-    # every word the beam builds is held to the cutoff less one: conjugations
-    # by their length, appends by the cancellation they need; each half of
-    # the defect, on its own, fails at least two examples
+    # every child the beam builds is held one class below the cutoff, the
+    # four conjugation children and the appends alike, or the appends'
+    # k-level lookup one letter below the cutoff's length; each half of the
+    # defect, on its own, fails at least two examples
     oracle = test_search.test_search_matches_the_full_ranking_oracle
     explicit_examples(oracle)
     source = inspect.getsource(search._beam_attempt)
-    assert source.count("> cutoff:") == 4 and source.count("- cutoff + 1) // 2") == 1
-    for old, new in (("> cutoff:", "> cutoff - 1:"), ("- cutoff + 1) // 2", "- cutoff + 2) // 2")):
-        namespace = dict(vars(search))
-        exec(compile(source.replace(old, new), search.__file__, "exec"), namespace)
-        monkeypatch.setattr(search, "_beam_attempt", namespace["_beam_attempt"])
-        failed = 0
-        for example in oracle.hypothesis_explicit_examples:
-            try:
-                oracle.hypothesis.inner_test(*example.args, **example.kwargs)
-            except AssertionError:
-                failed += 1
-        assert failed >= 2
+    class_test, k_level = "c > cutoff:", "- cutoff // span + 1) // 2"
+    assert source.count(class_test) == 5 and source.count(k_level) == 1
+    for old, new in ((class_test, "c > cutoff - 1:"), (k_level, "- cutoff // span + 2) // 2")):
+        with monkeypatch.context() as patch:
+            patch_beam_attempt(patch, (old, new))
+            assert failed_examples(oracle) >= 2
+
+
+def test_left_rotation_filed_under_its_old_head_is_rejected(monkeypatch):
+    # w[1:] + w[:1] starts with w[1]; under w[0] its class is off by a
+    # letter, so the cutoff keeps or drops it wrongly and the selection
+    # ranks it among the wrong words
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    rotation = "c = base + w[1]\n"
+    assert inspect.getsource(search._beam_attempt).count(rotation) == 1
+    patch_beam_attempt(monkeypatch, (rotation, "c = base + head\n"))
+    assert failed_examples(oracle) >= 2
 
 
 def test_append_lookup_with_a_str_key_is_rejected(monkeypatch):
@@ -128,12 +158,9 @@ def test_append_lookup_with_a_str_key_is_rejected(monkeypatch):
     # offers no append at all and only conjugates: every example fails
     oracle = test_search.test_search_matches_the_full_ranking_oracle
     explicit_examples(oracle)
-    source = inspect.getsource(search._beam_attempt)
     lookup = "levels[h].get(w[n - h :])"
-    assert source.count(lookup) == 1
-    namespace = dict(vars(search))
-    exec(compile(source.replace(lookup, "levels[h].get(w[n - h :].decode())"), search.__file__, "exec"), namespace)
-    monkeypatch.setattr(search, "_beam_attempt", namespace["_beam_attempt"])
+    assert inspect.getsource(search._beam_attempt).count(lookup) == 1
+    patch_beam_attempt(monkeypatch, (lookup, "levels[h].get(w[n - h :].decode())"))
     for example in oracle.hypothesis_explicit_examples:
         with pytest.raises(AssertionError):
             oracle.hypothesis.inner_test(*example.args, **example.kwargs)

@@ -365,14 +365,15 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 @example(bases=[(1,)], exponent=2, factors=[], extra=(2,), width=1, depth=2)
 # a rotation once the cutoff has fallen below the word's own length
 @example(bases=[(1, 1, -2)], exponent=2, factors=[((), 0), ((1,), 0)], extra=(), width=2, depth=2)
-# depth 1 keeps b at cutoff 1 and every child of b is longer: only starting
-# depth 2 over, at four times the core, finds its candidates
+# depth 1 keeps b and ends at its class, and every child of b is longer:
+# only starting depth 2 over, at the top class, finds its candidates
 @example(bases=[(2,)], exponent=2, factors=[], extra=(2,), width=1, depth=2)
 # a found log whose depths start over: without that the search finds a
 # different, shorter log
 @example(bases=[(2,)], exponent=4, factors=[((-1,), 0), ((1,), 15)], extra=(), width=4, depth=5)
-# members longer than the state: within the cutoff, 3 once the conjugation
-# BAb is built, only A aaaa = aaa fits, found at its 1-letter cancellation level
+# members longer than the state: within the cutoff's length, 3 once the
+# conjugation BAb is built, only A aaaa = aaa fits, found at its 1-letter
+# cancellation level
 @example(bases=[(1,)], exponent=4, factors=[], extra=(1,), width=1, depth=1)
 # a cutoff that asks more than the half rule: an append found only at the
 # level of the cancellation the cutoff needs
@@ -388,16 +389,35 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 @example(bases=[(1, 1, 2)], exponent=5, factors=[((2,), 0), ((-1,), 7)], extra=(), width=4, depth=8)
 # a start shorter than the memo's tail, below the members' length 8
 @example(bases=[(1, 2)], exponent=4, factors=[], extra=(1, 2, 1), width=2, depth=4)
-# a rotation that lands exactly on the cutoff, which a beam of width 1 brings
-# down to the state's own length: a cutoff one too low never builds it
+# width 1: a growing conjugation lands exactly on the cutoff class, and
+# depths start over
 @example(bases=[(2,)], exponent=1, factors=[], extra=(3,), width=1, depth=4)
 @example(bases=[(-3,)], exponent=3, factors=[], extra=(-3, -2), width=1, depth=4)
-# an append that lands exactly on the cutoff, found only at the level of the
-# cancellation the cutoff needs, not one above it
+# an append found only at the level of the cancellation the cutoff's length
+# needs, not one above it, and a rotation and a growing conjugation that land
+# exactly on the cutoff class
 @example(bases=[(-2, -3), (3, 3)], exponent=1, factors=[((1, 3), 1), ((3,), 2)], extra=(), width=5, depth=4)
+# a conjugation by the inverse of the last letter lands exactly on the cutoff
+# class
 @example(bases=[(-3, -3, 1, -3, -3, 1), (-2, -3)], exponent=2, factors=[((3, 2, 3, -2), 7)], extra=(-1,), width=2, depth=3)
+# Each example below fails with the cutoff one class too low, with the
+# appends' k-level lookup one letter too tight, or with the left rotation
+# w[1:] + w[:1] filed under w[0] in place of w[1].
+# a rotation and a growing conjugation at the cutoff's length, at width 2:
+# one rotation within the cutoff class, one rotation and two growing
+# conjugations beyond it by their first letter
+@example(bases=[(1,), (-2,)], exponent=3, factors=[((2, 1), 2)], extra=(-2,), width=2, depth=4)
+# the same at width 1: rotations on both sides of the cutoff class
+@example(bases=[(-1,)], exponent=2, factors=[((-2,), 1)], extra=(-1, -2), width=1, depth=11)
+# an append that cancels the whole state, j = n < m, and leaves a word of
+# the cutoff's length: at rank 1, L = 2 ...
+@example(bases=[(1,), (-1, -1)], exponent=3, factors=[], extra=(1,), width=3, depth=2)
+# ... and over b alone, L = 4
+@example(bases=[(2,)], exponent=5, factors=[], extra=(2,), width=2, depth=2)
+# rank 3, L = 6, with b unused: L counts up to the largest letter index
+@example(bases=[(-3,), (-1,)], exponent=2, factors=[], extra=(-1,), width=4, depth=9)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
-    # narrow beams make the length cutoff bind; targets are mostly products
+    # narrow beams make the class cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
     rs = symmetrize(bases, exponent)
     members = sorted(rs.members)

@@ -63,7 +63,7 @@ def naive_appendable(relators: RelatorSet, w: Word) -> list[Word]:
 def reference_search(
     target: Word, relators: RelatorSet, config: SearchConfig
 ) -> tuple[MoveLog | None, int, int]:
-    """The beam search with no length cutoff: (log, states_visited,
+    """The beam search with no cutoff: (log, states_visited,
     moves_tried) of one attempt, so configs that sample bases are out of
     scope.
 
