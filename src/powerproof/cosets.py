@@ -55,7 +55,7 @@ from math import gcd
 from operator import itemgetter
 
 from .bracelets import bracelet_canon, primitive_root
-from .words import Alphabet, Word, cyclic_reduce, is_freely_reduced, letter_index, word_str
+from .words import Alphabet, Word, cyclic_reduce, is_freely_reduced, order_key, word_str
 
 UNDEF = -1
 # the default bound on cosets defined, for callers and the CLI alike
@@ -131,9 +131,10 @@ class CosetTable:
     ``coincidences == cosets_defined - order``.
 
     ``columns`` is the one stored table: the compacted action of a complete
-    run, ``columns[letter_index(g)][c]`` the coset reached from c by g, with
-    coset 0 the subgroup coset; it is empty on an overflowed table.  ``rows``
-    is its transpose, ``rows[c][letter_index(g)]``, derived on first read.
+    run, ``columns[i][c]`` the coset reached from c by the letter of index i
+    (its order-key byte), with coset 0 the subgroup coset; it is empty on an
+    overflowed table.  ``rows`` is its transpose, ``rows[c][i]``, derived on
+    first read.
     Tables are equal when their counts, subgroups and columns are.
     """
 
@@ -161,7 +162,7 @@ class CosetTable:
         for x in w:
             if not 0 < abs(x) <= rank:
                 raise ValueError(f"letter {x} is beyond rank {rank}")
-        return [self.columns[letter_index(x)] for x in w]
+        return [self.columns[i] for i in order_key(w)]
 
     def trace(self, coset: int, w: Word) -> int:
         """Image of a coset under a word.
@@ -277,7 +278,7 @@ class _Enumerator:
 
     def walk(self, w: Word) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
         """The ``(fwd, inv)`` column tuples of a word."""
-        return tuple(zip(*(self.pairs[letter_index(x)] for x in w)))
+        return tuple(zip(*(self.pairs[i] for i in order_key(w))))
 
     def define(self, c: int, column: list[int], inverse: list[int]) -> int:
         d = len(self.parent)

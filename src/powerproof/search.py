@@ -24,7 +24,6 @@ from .words import (
     free_reduce,
     invert,
     is_freely_reduced,
-    letter_index,
     order_key,
     word_str,
 )
@@ -161,7 +160,7 @@ def _beam_attempt(
     States are order keys (see words.order_key), bytes: they hash once,
     slice in C, and rank in the a < A < b < B letter order.  A conjugation
     child's length and first letter are read from its parent's letters w[0],
-    w[1] and w[-1], int codes, before it is built, and a child of the
+    w[1] and w[-1], letter indices, before it is built, and a child of the
     conjugation by g never builds its conjugation by g^-1, which is its
     parent.  An empty key, b"", is the empty word.  moves_tried still
     counts every conjugation of every state.  Appends follow the half rule:
@@ -189,15 +188,15 @@ def _beam_attempt(
     """
     if start == ():
         return ()
-    span = 1 + max(map(letter_index, letters))
+    span = 1 + max(order_key(letters))
     two_spans = 2 * span
     top = 4 * len(start) * span + span - 1
     width = config.beam_width
     half_rule = _HalfRuleMemo(relators.append_index)
     tail_of, longest = half_rule.tail, half_rule.longest
     # Conjugation by g maps w to g^-1 w g: (g, g^-1, g's key, g^-1's key,
-    # letter, onward), with g and g^-1 as key codes, the ints that a key's
-    # letters w[0], w[1] and w[-1] are, beside their 1-byte keys to
+    # letter, onward), with g and g^-1 as letter indices, the ints that a
+    # key's letters w[0], w[1] and w[-1] are, beside their 1-byte keys to
     # concatenate.  onward lists the conjugations the child tries: all but
     # the one by g^-1, which would give back the parent, always visited.
     conjugations = []
@@ -233,8 +232,8 @@ def _beam_attempt(
                 n = len(w)
                 head, tail = w[0], w[-1]
                 # the class of a word of length n, less its first letter's
-                # code (0x41 + its index), and of one of length n + 2
-                base = n * span - 0x41
+                # index, and of one of length n + 2
+                base = n * span
                 grown = base + two_spans
                 for g, g_inv, g_key, g_inv_key, letter, onward in tries:
                     # The end letters give the child's class before it is
@@ -298,7 +297,7 @@ def _beam_attempt(
                         if j < n:
                             c = appended - j * two_spans
                         elif j < m:
-                            c = (m - n) * span + key[n] - 0x41
+                            c = (m - n) * span + key[n]
                         else:
                             c = 0  # the empty word
                         if c > cutoff:
@@ -343,7 +342,7 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
     The beam runs from the inverse of the target's cyclically reduced core,
     ordered by freely reduced length, ties broken in the a < A < b < B
     letter order; a visited set prunes re-entered states.  _beam_attempt
-    tells how a depth offers, counts and prunes its moves, and its length
+    tells how a depth offers, counts and prunes its moves, and its class
     cutoff.  Restarts re-run the beam over random base subsets, so they run
     only when base_subset_size is below the number of bases; a fixed seed
     makes them deterministic.  A found log starts at the inverse of the

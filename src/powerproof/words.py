@@ -109,35 +109,28 @@ def invert(w: Word) -> Word:
     return tuple(-x for x in reversed(w))
 
 
-def letter_index(x: int) -> int:
-    """Position of a letter in the order a, A, b, B, ...; the inverse letter
-    of index i has index i ^ 1."""
-    return _INDEX[x]
-
-
-# Order keys: one byte 0x41 + i per letter of index i, so that keys compare
-# like their words in the letter order (a proper prefix first) and stay
-# within ASCII up to rank 26.  The beam search keeps its states as keys, and
-# bracelet representatives and relator bases are named and sorted by them.
-# A bytes object's header is 16 bytes smaller than an ASCII str's on
-# CPython 3.11 (8 from 3.12 on), and it hashes, slices and compares in C
-# just as one does.
-_KEY = {x: 0x41 + i for i, x in enumerate(LETTERS)}
-_KEY_LETTERS = dict(zip(_KEY.values(), _KEY))
+# Order keys: one byte per letter, its index i, so that keys compare like
+# their words in the letter order (a proper prefix first).  The beam search
+# keeps its states as keys, and bracelet representatives and relator bases
+# are named and sorted by them.  A bytes object's header is 16 bytes smaller
+# than an ASCII str's on CPython 3.11 (8 from 3.12 on), and it hashes,
+# slices and compares in C just as one does.
 # bytes.translate table taking the key of each letter to the key of its
 # inverse, index i to index i ^ 1.
-KEY_INVERSE = bytes.maketrans(bytes(_KEY[x] for x in LETTERS), bytes(_KEY[-x] for x in LETTERS))
+KEY_INVERSE = bytes(i ^ 1 for i in range(256))
 
 
 def order_key(w: Word) -> bytes:
-    """The word as bytes that sort in the a < A < b < B < ... letter order;
-    the inverse word's key is ``order_key(w)[::-1].translate(KEY_INVERSE)``."""
-    return bytes(map(_KEY.__getitem__, w))
+    """The word as bytes, one letter index per letter, that sort in the
+    a < A < b < B < ... letter order; the inverse word's key is
+    ``order_key(w)[::-1].translate(KEY_INVERSE)``."""
+    return bytes(map(_INDEX.__getitem__, w))
 
 
 def key_word(key: bytes) -> Word:
-    """The word whose order key is ``key``."""
-    return tuple(map(_KEY_LETTERS.__getitem__, key))
+    """The word whose order key is ``key``.  Subscripting the tuple inline
+    beats mapping its slot-wrapper ``__getitem__``."""
+    return tuple([LETTERS[b] for b in key])
 
 
 def is_freely_reduced(w: Word) -> bool:

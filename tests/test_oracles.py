@@ -152,6 +152,20 @@ def test_left_rotation_filed_under_its_old_head_is_rejected(monkeypatch):
     assert failed_examples(oracle) >= 2
 
 
+def test_whole_state_append_filed_under_the_inverse_letter_is_rejected(monkeypatch):
+    # an append that cancels the whole state, j = n < m, leaves the word
+    # key[n:], which starts with the letter of index key[n]; under its
+    # inverse, key[n] ^ 1, the class is off by a letter, so the cutoff keeps
+    # or drops the word wrongly and the selection ranks it among the wrong
+    # words
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    whole_state = "c = (m - n) * span + key[n]\n"
+    assert inspect.getsource(search._beam_attempt).count(whole_state) == 1
+    patch_beam_attempt(monkeypatch, (whole_state, "c = (m - n) * span + (key[n] ^ 1)\n"))
+    assert failed_examples(oracle) >= 1
+
+
 def test_append_lookup_with_a_str_key_is_rejected(monkeypatch):
     # the append index is keyed by bytes, as the states are; a lookup by the
     # state's tail as str misses every bucket without an error, so the beam

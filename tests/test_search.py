@@ -416,6 +416,11 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 @example(bases=[(2,)], exponent=5, factors=[], extra=(2,), width=2, depth=2)
 # rank 3, L = 6, with b unused: L counts up to the largest letter index
 @example(bases=[(-3,), (-1,)], exponent=2, factors=[], extra=(-1,), width=4, depth=9)
+# Each example below fails with the whole-state append, j = n < m, filed
+# under the inverse of the word's first letter: at rank 3 ...
+@example(bases=[(2, 3)], exponent=3, factors=[], extra=(1, 3, 2, -1), width=1, depth=4)
+# ... and at rank 1
+@example(bases=[(-1, -1, -1), (-1, -1, -1, -1, -1)], exponent=1, factors=[], extra=(-1, -1, -1, -1), width=2, depth=4)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the class cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed

@@ -16,7 +16,7 @@ from powerproof.bracelets import enumerate_lyndon, enumerate_reduced_bracelets
 from powerproof.cosets import UNDEF, CosetTable, Presentation
 from powerproof.proofwords import ProofWord, RelatorSet
 from powerproof.search import MoveLog, SearchConfig, apply_move
-from powerproof.words import AB, Alphabet, Word, cyclic_reduce, free_reduce, invert, letter_index, order_key, power, rotations
+from powerproof.words import AB, Alphabet, Word, cyclic_reduce, free_reduce, invert, order_key, power, rotations
 
 
 def package_env(**extra: str) -> dict[str, str]:
@@ -42,9 +42,9 @@ def invert_str(s: str) -> str:
 
 
 def bracelet_canon_oracle(w: Word) -> Word:
-    """Least rotation of w or of its inverse, compared as tuples of letter
-    indices: the a < A < b < B letter order, without string keys."""
-    return min(rotations(w) | rotations(invert(w)), key=lambda v: tuple(letter_index(x) for x in v))
+    """Least rotation of w or of its inverse, compared as order keys, the
+    bytes of their letter indices: the a < A < b < B letter order."""
+    return min(rotations(w) | rotations(invert(w)), key=order_key)
 
 
 def naive_appendable(relators: RelatorSet, w: Word) -> list[Word]:
@@ -123,8 +123,8 @@ class _RowMajorEnumerator:
     def __init__(self, pres: Presentation, max_cosets: int, scan_all: bool, subgroup: tuple[Word, ...]):
         self.ncols = 2 * pres.alphabet.rank
         relators = pres.relators if scan_all else naive_scan_list(pres.relators)
-        self.relators = [tuple(letter_index(x) for x in r) for r in relators]
-        self.subgroup = [tuple(letter_index(x) for x in h) for h in subgroup]
+        self.relators = list(map(order_key, relators))
+        self.subgroup = list(map(order_key, subgroup))
         self.max_cosets = max_cosets
         self.table: list[list[int]] = [[UNDEF] * self.ncols]
         self.parent = [0]  # union-find; parent[c] <= c, live iff parent[c] == c
@@ -180,7 +180,7 @@ class _RowMajorEnumerator:
                     self.table[mu][col] = nu
                     self.table[nu][col ^ 1] = mu
 
-    def scan_and_fill(self, c: int, cols: tuple[int, ...]):
+    def scan_and_fill(self, c: int, cols: bytes):
         table = self.table
         f, i = c, 0
         b, j = c, len(cols) - 1
