@@ -26,6 +26,15 @@ class BraceletClass:
     canonical: Word
 
 
+# The longest length `bracelets --len` takes at rank 2: --len 14 --lyndon
+# --upto lists its classes in about 4 s at 84 MB RSS, and --len 15 ran past
+# 10 s.  The walk's work grows with the number of cyclically reduced words,
+# about (2r - 1)^n at rank r and length n, and at rank 1, one class of n
+# letters per length, with n^2 over --upto; the CLI scales the cap to each
+# rank by these counts.
+MAX_BRACELET_LEN = 14
+
+
 # The longest word whose rotations are cut in one call: its 2n <= 64
 # rotations, 2n^2 <= 2,048 key bytes, are alive at once.
 _CUT_MAX = 32

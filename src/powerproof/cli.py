@@ -15,10 +15,11 @@ import sys
 from functools import cache
 from typing import Iterable
 
-from .bracelets import enumerate_lyndon, enumerate_reduced_bracelets
+from .bracelets import MAX_BRACELET_LEN, enumerate_lyndon, enumerate_reduced_bracelets
 from .cosets import MAX_COSETS, Presentation, group_order
 from .engel import MAX_ENGEL, engel_word
 from .proofwords import (
+    MAX_BASE_LEN,
     MAX_EXPONENT,
     fold,
     parse_proof,
@@ -191,8 +192,8 @@ _rank = _int_in(1, MAX_RANK)
 
 # The beam's memory grows with its width times the depths it runs, so search
 # takes --beam times --max-moves only up to MAX_BEAM times the default
-# --max-moves: about 29 KB per unit of width over 256 failing depths puts
-# that bound near 600 MB.
+# --max-moves: about 24 KB per unit of width over 256 failing depths puts
+# that bound near 500 MB.
 _MAX_BEAM_MOVES = MAX_BEAM * SearchConfig().max_moves
 
 
@@ -210,6 +211,41 @@ class _BeamMoves(argparse.Action):
             )
 
 
+@cache
+def _longest(rank: int, cap: int) -> int:
+    """The longest length of generated words that a cap for rank 2 allows
+    at a rank: no more cyclically reduced words, (2 rank - 1)^n, nor
+    letters, n^2, than rank 2 has at the cap."""
+    n, most = 1, 3**cap
+    while max((n + 1) ** 2, (2 * rank - 1) ** (n + 1)) <= most:
+        n += 1
+    return n
+
+
+# Each option whose words the CLI generates, by its dest: its name and its
+# cap at rank 2.
+_GENERATED = {
+    "len": ("--len", MAX_BRACELET_LEN),
+    "max_base_len": ("--max-base-len", MAX_BASE_LEN),
+    "lyndon_upto": ("--lyndon-upto", MAX_BASE_LEN),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that, once it has read every option, refuses a
+    length of generated words over its cap at the rank, as a usage error;
+    the subcommands' parsers are of this class too."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        rank = getattr(namespace, "alphabet", AB).rank
+        for dest, (option, cap) in _GENERATED.items():
+            n, longest = getattr(namespace, dest, None), _longest(rank, cap)
+            if n is not None and n > longest:
+                self.error(f"argument {option}: {option} {n} at rank {rank} must be at most {longest}")
+        return namespace, extras
+
+
 def _alphabet(text: str) -> Alphabet:
     """An argparse type: the alphabet of the given rank."""
     return Alphabet(_rank(text))
@@ -221,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     every call, so callers must not change it.  Each option that several
     subcommands share is declared once, in a parent parser.  The ``_cmd_*``
     functions look up the library names they call when they run."""
-    parser = argparse.ArgumentParser(prog="powerproof")
+    parser = _Parser(prog="powerproof")
     sub = parser.add_subparsers(dest="command", required=True)
 
     rank, target, bases, proof = (argparse.ArgumentParser(add_help=False) for _ in range(4))

@@ -43,6 +43,13 @@ from .words import (
 # square of the exponent.
 MAX_EXPONENT = 64
 
+# The longest bases the CLI generates for a relator set (--max-base-len,
+# --lyndon-upto) at rank 2: at MAX_EXPONENT the reduced bracelets up to
+# length 7 build their append index in about 2.5 s at 545 MB RSS, and up to
+# length 8 in 10 s at 2 GB.  The CLI scales the cap to each rank as it does
+# bracelets.MAX_BRACELET_LEN.
+MAX_BASE_LEN = 7
+
 
 @dataclass(frozen=True)
 class RelatorSet:

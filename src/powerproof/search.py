@@ -58,12 +58,12 @@ def replay(log: MoveLog) -> Word:
 
 # The widest beam the CLI's --beam takes.  The beam's memory grows with its
 # width and with the depths it runs.  The E5 search over the Lyndon bases up
-# to length 5 (--max-moves 400, found after about 95 depths) peaked at
-# 139 MB RSS at width 10,000 and 259 MB at 20,000; a search that fails
-# through all 256 default depths (E5 over the Lyndon bases up to length 3)
-# peaked at 75 MB at width 2,000 and 247 MB at 8,000, about 29 KB per unit
-# of width, so it would cross 1 GB near 35,000.  The CLI also bounds the
-# width times the depths, at MAX_BEAM times the default max_moves.
+# to length 5 (found after about 95 depths) peaked at 108 MB RSS at width
+# 10,000 and 191 MB at 20,000; a search that fails through all 256 default
+# depths (E5 over the Lyndon bases up to length 3) peaked at 59 MB at width
+# 2,000 and 201 MB at 8,000, about 24 KB per unit of width, so it would
+# cross 1 GB near 43,000.  The CLI also bounds the width times the depths,
+# at MAX_BEAM times the default max_moves.
 # SearchConfig takes any width and depths, since a wide beam run for a few
 # depths stays small.
 MAX_BEAM = 20_000
@@ -185,6 +185,18 @@ def _beam_attempt(
     candidates starts over at the top class, from no candidates and the
     depth's starting moves_tried, so it ends as a single sweep from there
     would.
+
+    The visited set holds only the words of the classes that a child of the
+    beam can be of.  After each depth's selection, reach is the top class of
+    length max(n + 2, min(n, longest - 1) + longest), n being the length of
+    the beam's longest word: a conjugation child is at most n + 2 letters
+    long, an append of a member no longer than the state cancels at least
+    half of it, and a longer member gives at most n + longest letters.  The
+    visited words of each class above reach are frozen, joined into one
+    bytes, len bytes per word, and taken out of the set; a frozen class
+    that a later reach covers again is split back into its words, which
+    return to the set.  Every word the node loop looks up is a child of the
+    beam, so it finds the set as if every visited word were in it.
     """
     if start == ():
         return ()
@@ -207,6 +219,12 @@ def _beam_attempt(
         onward += [c for c in conjugations if c[0] != g_inv]
     start_key = order_key(start)
     visited = {start_key}
+    # The words chosen into the beam, by class: a list of words that are in
+    # visited, up to reach, the top class a child of the beam can be of;
+    # above it, frozen, one bytes of the words joined, none of them in
+    # visited.  The start stays in visited.
+    reach = top
+    by_visit: list[list[bytes] | bytes] = [[] for _ in range(top + 1)]
     # A node is (word, parent, move, the conjugations it tries), the move
     # being its conjugation letter or its appended member.
     beam = [(start_key, None, None, conjugations)]
@@ -325,12 +343,27 @@ def _beam_attempt(
         # until the beam is full; most classes are empty.
         chosen: list[bytes] = []
         for bucket in filter(None, by_class[: cutoff + 1]):
-            chosen += sorted(bucket)[: width - len(chosen)]
+            taken = sorted(bucket)[: width - len(chosen)]
+            by_visit[len(bucket[0]) * span + bucket[0][0]] += taken
+            chosen += taken
             if len(chosen) == width:
                 break
         beam = [candidates[word] for word in chosen]
         visited.update(chosen)
         result.states_visited += len(beam)
+        # A child of the beam is at most n + 2 letters long by a conjugation,
+        # n by the half rule's append, and n + longest by a member longer
+        # than its state, n being the length of the beam's last, longest,
+        # word.  Freeze the classes the new reach leaves, thaw those it adds.
+        n = len(chosen[-1])
+        old, reach = reach, min(max(n + 2, min(n, longest - 1) + longest) * span + span - 1, top)
+        for c in range(reach + 1, old + 1):
+            visited.difference_update(by_visit[c])
+            by_visit[c] = b"".join(by_visit[c])
+        for c in range(old + 1, reach + 1):
+            frozen, n = by_visit[c], c // span
+            by_visit[c] = [frozen[i : i + n] for i in range(0, len(frozen), n)]
+            visited.update(by_visit[c])
         # the next depth starts one class above the class this one ended at
         cutoff = min(cutoff + 1, top)
     return None
@@ -341,15 +374,17 @@ def search(target: Word, relators: RelatorSet, config: SearchConfig | None = Non
 
     The beam runs from the inverse of the target's cyclically reduced core,
     ordered by freely reduced length, ties broken in the a < A < b < B
-    letter order; a visited set prunes re-entered states.  _beam_attempt
-    tells how a depth offers, counts and prunes its moves, and its class
-    cutoff.  Restarts re-run the beam over random base subsets, so they run
-    only when base_subset_size is below the number of bases; a fixed seed
-    makes them deterministic.  A found log starts at the inverse of the
-    target: one conjugation per letter of the inverse outer conjugator leads
-    it to the inverted core, then the beam's moves follow.  The log's
-    reconstruction is verified against all of relators, also when an attempt
-    sampled a subset, and is result.proof; one that fails raises ValueError.
+    letter order; a visited set prunes re-entered states, and holds only the
+    classes a child of the beam can reach.  _beam_attempt tells how a depth
+    offers, counts and prunes its moves, its class cutoff, and how it
+    freezes the visited classes out of reach.  Restarts re-run the beam over
+    random base subsets, so they run only when base_subset_size is below
+    the number of bases; a fixed seed makes them deterministic.  A found log
+    starts at the inverse of the target: one conjugation per letter of the
+    inverse outer conjugator leads it to the inverted core, then the beam's
+    moves follow.  The log's reconstruction is verified against all of
+    relators, also when an attempt sampled a subset, and is result.proof;
+    one that fails raises ValueError.
     """
     if config is None:
         config = SearchConfig()

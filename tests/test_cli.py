@@ -8,11 +8,11 @@ import sys
 import pytest
 
 from powerproof import cli, cosets
-from powerproof.bracelets import bracelet_canon
+from powerproof.bracelets import MAX_BRACELET_LEN, bracelet_canon
 from powerproof.cli import main
 from powerproof.cosets import CosetTable, Presentation, enumerate_cosets
 from powerproof.fixtures import e5_proof
-from powerproof.proofwords import ProofWord, distinct_presentation
+from powerproof.proofwords import MAX_BASE_LEN, ProofWord, distinct_presentation
 from powerproof.search import MAX_BEAM
 from powerproof.words import AB, Alphabet, parse_word as P, word_str
 
@@ -251,6 +251,18 @@ SEARCH_E2 = ("search", "--engel", "2", "--exponent", "3", "--lyndon-upto", "3")
         # the beam width is bounded (search.MAX_BEAM): the beam's memory grows
         # with it
         ((*SEARCH_E2, "--beam", "1000000000"), "--beam"),
+        # the lengths of generated words are bounded (bracelets.MAX_BRACELET_LEN
+        # = 14 and proofwords.MAX_BASE_LEN = 7 at rank 2, scaled to the rank):
+        # the words to walk grow about as (2 rank - 1)^length
+        (("bracelets", "--len", "15", "--count"), "--len"),
+        (("bracelets", "--len", "30", "--count"), "--len"),
+        (("bracelets", "--rank", "3", "--len", "10", "--upto"), "--len"),
+        (("bracelets", "--len", "10", "--rank", "3"), "--len"),
+        (("bracelets", "--rank", "1", "--len", "2188", "--upto", "--count"), "--len"),
+        (("search", "--engel", "3", "--exponent", "4", "--max-base-len", "12", "--max-moves", "1"), "--max-base-len"),
+        (("search", "--engel", "3", "--exponent", "4", "--lyndon-upto", "8", "--max-moves", "1"), "--lyndon-upto"),
+        (("search", "--engel", "3", "--exponent", "4", "--lyndon-upto", "5", "--rank", "3"), "--lyndon-upto"),
+        (("verify", "--proof", FIXTURE, "--engel", "5", "--exponent", "4", "--max-base-len", "8"), "--max-base-len"),
     ],
 )
 def test_out_of_range_options_are_usage_errors(capsys, argv, option):
@@ -289,6 +301,28 @@ def test_beam_times_max_moves_over_its_bound_is_a_usage_error(capsys):
             f"powerproof search: error: argument {option}: --beam {beam} times --max-moves {moves} "
             "must be at most 5120000\n"
         )
+
+
+def test_generated_lengths_are_capped_at_each_rank(capsys):
+    # a cap holds at rank 2; at another rank the longest length has no more
+    # cyclically reduced words, (2 rank - 1)^n, nor letters, n^2, than rank 2
+    # at the cap.  Each longest length parses, whether --rank comes before
+    # or after it; one more is a usage error that names the rank.
+    assert (MAX_BRACELET_LEN, MAX_BASE_LEN) == (14, 7)
+    parser = cli.build_parser()
+    for rank, longest, base in ((1, 2187, 46), (2, 14, 7), (3, 9, 4), (4, 7, 3), (26, 3, 1)):
+        for option, n, argv in (
+            ("--len", longest, ["bracelets"]),
+            ("--max-base-len", base, ["search", "--engel", "2", "--exponent", "3"]),
+            ("--lyndon-upto", base, ["verify", "--proof", "p.pf", "--engel", "2", "--exponent", "3"]),
+        ):
+            for order in ((option, str(n), "--rank", str(rank)), ("--rank", str(rank), option, str(n))):
+                assert parser.parse_args([*argv, *order]).alphabet == Alphabet(rank)
+            code, out, err = run(capsys, *argv, "--rank", str(rank), option, str(n + 1))
+            assert (code, out) == (2, "")
+            assert err.endswith(
+                f"powerproof {argv[0]}: error: argument {option}: {option} {n + 1} at rank {rank} must be at most {n}\n"
+            )
 
 
 def test_search_and_verify_at_rank_three(tmp_path, capsys):

@@ -113,13 +113,14 @@ def patch_beam_attempt(monkeypatch, *replacements):
     monkeypatch.setattr(search, "_beam_attempt", namespace["_beam_attempt"])
 
 
-def failed_examples(test):
-    """How many of a property's @example inputs fail it."""
+def failed_examples(test, errors=AssertionError):
+    """How many of a property's @example inputs fail it, raising one of
+    errors."""
     failed = 0
     for example in test.hypothesis_explicit_examples:
         try:
             test.hypothesis.inner_test(*example.args, **example.kwargs)
-        except AssertionError:
+        except errors:
             failed += 1
     return failed
 
@@ -164,6 +165,32 @@ def test_whole_state_append_filed_under_the_inverse_letter_is_rejected(monkeypat
     assert inspect.getsource(search._beam_attempt).count(whole_state) == 1
     patch_beam_attempt(monkeypatch, (whole_state, "c = (m - n) * span + (key[n] ^ 1)\n"))
     assert failed_examples(oracle) >= 1
+
+
+def test_thawed_class_kept_out_of_the_visited_set_is_rejected(monkeypatch):
+    # a frozen class that a later reach covers again must return its words
+    # to the visited set; kept out, they are built and chosen again.  Only a
+    # beam whose longest word shrinks and grows back thaws a class, and of
+    # the examples only the one at width 1 and depth 34 shows the defect
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    thaw = "visited.update(by_visit[c])"
+    assert inspect.getsource(search._beam_attempt).count(thaw) == 1
+    patch_beam_attempt(monkeypatch, (thaw, "visited.update(())"))
+    assert failed_examples(oracle) >= 1
+
+
+def test_reach_one_letter_short_is_rejected(monkeypatch):
+    # with reach one length too low, a class that a child of the beam can be
+    # of is frozen: its visited words are out of the set, and a child of it,
+    # once chosen, is filed under a record that is bytes, not a list, which
+    # raises TypeError
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    reach = "* span + span - 1, top)"
+    assert inspect.getsource(search._beam_attempt).count(reach) == 1
+    patch_beam_attempt(monkeypatch, (reach, "* span - 1, top)"))
+    assert failed_examples(oracle, (AssertionError, TypeError)) >= 2
 
 
 def test_append_lookup_with_a_str_key_is_rejected(monkeypatch):

@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -30,7 +31,14 @@ from powerproof.words import (
     power,
     word_str,
 )
-from util import bracelet_bases, naive_appendable, random_proof, random_reduced_word, reference_search
+from util import (
+    bracelet_bases,
+    lyndon_bases,
+    naive_appendable,
+    random_proof,
+    random_reduced_word,
+    reference_search,
+)
 
 
 SMALL = SearchConfig(beam_width=500, max_moves=16)
@@ -421,6 +429,11 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 @example(bases=[(2, 3)], exponent=3, factors=[], extra=(1, 3, 2, -1), width=1, depth=4)
 # ... and at rank 1
 @example(bases=[(-1, -1, -1), (-1, -1, -1, -1, -1)], exponent=1, factors=[], extra=(-1, -1, -1, -1), width=2, depth=4)
+# The example below fails when a frozen visited class, thawed once the
+# beam's words grow long enough for a child to reach it, does not return its
+# words to the visited set: at width 1 the beam's one word shrinks and grows
+# again, and a later child re-enters a word it left behind
+@example(bases=[(1,)], exponent=1, factors=[], extra=(1, 2), width=1, depth=34)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the class cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
@@ -433,6 +446,23 @@ def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra,
     config = SearchConfig(beam_width=width, max_moves=depth)
     result = search(target, rs, config)
     assert (result.log, result.states_visited, result.moves_tried) == reference_search(target, rs, config)
+
+
+def test_e5_search_freezes_the_visited_classes_out_of_reach():
+    # the E5 search over the 41 Lyndon bases, its relator index built first:
+    # with every visited word in the visited set its traced peak reads about
+    # 13.6 MB; with the classes that no child of the beam can reach frozen
+    # into one bytes each, about 9.3 MB
+    relators = symmetrize(lyndon_bases(5), 4)
+    relators.append_index
+    tracemalloc.start()
+    try:
+        result = search(engel_word(5), relators, SearchConfig(max_moves=400))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.found, result.states_visited, result.moves_tried) == (True, 96_719, 581_867)
+    assert peak < 10_000_000
 
 
 def test_search_config_rejects_out_of_range_values():
