@@ -197,20 +197,6 @@ _rank = _int_in(1, MAX_RANK)
 _MAX_BEAM_MOVES = MAX_BEAM * SearchConfig().max_moves
 
 
-class _BeamMoves(argparse.Action):
-    """Stores --beam or --max-moves, and refuses the two once their product
-    is over _MAX_BEAM_MOVES; an option not given yet counts at its default."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        if namespace.beam * namespace.max_moves > _MAX_BEAM_MOVES:
-            raise argparse.ArgumentError(
-                self,
-                f"--beam {namespace.beam} times --max-moves {namespace.max_moves} "
-                f"must be at most {_MAX_BEAM_MOVES}",
-            )
-
-
 @cache
 def _longest(rank: int, cap: int) -> int:
     """The longest length of generated words that a cap for rank 2 allows
@@ -232,9 +218,11 @@ _GENERATED = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser that, once it has read every option, refuses a
-    length of generated words over its cap at the rank, as a usage error;
-    the subcommands' parsers are of this class too."""
+    """An ArgumentParser that, once it has read every option, refuses as a
+    usage error a length of generated words over its cap at the rank, and
+    a --beam times --max-moves over _MAX_BEAM_MOVES; each check reads the
+    last value of each option.  The subcommands' parsers are of this class
+    too."""
 
     def parse_known_args(self, args=None, namespace=None):
         namespace, extras = super().parse_known_args(args, namespace)
@@ -243,6 +231,11 @@ class _Parser(argparse.ArgumentParser):
             n, longest = getattr(namespace, dest, None), _longest(rank, cap)
             if n is not None and n > longest:
                 self.error(f"argument {option}: {option} {n} at rank {rank} must be at most {longest}")
+        beam, moves = getattr(namespace, "beam", 0), getattr(namespace, "max_moves", 0)
+        if beam * moves > _MAX_BEAM_MOVES:
+            self.error(
+                f"argument --max-moves: --beam {beam} times --max-moves {moves} must be at most {_MAX_BEAM_MOVES}"
+            )
         return namespace, extras
 
 
@@ -304,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", parents=[target, rank, bases], help="search for a proof word for a target")
     p.add_argument("--exponent", type=_exponent, required=True)
     defaults = SearchConfig()
-    p.add_argument("--beam", type=_int_in(1, MAX_BEAM), default=defaults.beam_width, action=_BeamMoves)
-    p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves, action=_BeamMoves)
+    p.add_argument("--beam", type=_int_in(1, MAX_BEAM), default=defaults.beam_width)
+    p.add_argument("--max-moves", type=_positive_int, default=defaults.max_moves)
     p.add_argument("--restarts", type=_int_in(0), default=defaults.restarts)
     p.add_argument("--seed", type=int, default=defaults.seed)
     p.add_argument("--base-subset", type=_positive_int, default=defaults.base_subset_size)

@@ -281,24 +281,31 @@ def test_beam_wider_than_max_beam_is_a_usage_error(capsys):
 
 def test_beam_times_max_moves_over_its_bound_is_a_usage_error(capsys):
     # --beam times --max-moves is bounded by MAX_BEAM times the default
-    # --max-moves; the parser refuses a product over it, naming the option
-    # that crosses it, so no search runs.  E5's 1000 x 400 and the bound
-    # itself parse.
+    # --max-moves; once every option is read, the parser refuses a product
+    # over it, read from the last value of each option, with a message that
+    # names --max-moves, so no search runs.  E5's 1000 x 400, the bound
+    # itself, and earlier values over it that a later one mends, parse.
     parser = cli.build_parser()
-    for beam, moves in ((1000, 400), (MAX_BEAM, 256), (1000, 5120)):
-        args = parser.parse_args([*SEARCH_E2, "--beam", str(beam), "--max-moves", str(moves)])
+    for argv, beam, moves in (
+        (["--beam", "1000", "--max-moves", "400"], 1000, 400),
+        (["--beam", str(MAX_BEAM), "--max-moves", "256"], MAX_BEAM, 256),
+        (["--beam", "1000", "--max-moves", "5120"], 1000, 5120),
+        (["--beam", "20000", "--max-moves", "257", "--beam", "10"], 10, 257),
+        (["--max-moves", "6000", "--max-moves", "1"], 1000, 1),
+    ):
+        args = parser.parse_args([*SEARCH_E2, *argv])
         assert (args.beam, args.max_moves) == (beam, moves)
-    for argv, option in (
-        (["--beam", "20000", "--max-moves", "257"], "--max-moves"),
-        (["--max-moves", "257", "--beam", "20000"], "--beam"),
-        (["--max-moves", "5121"], "--max-moves"),
+    for argv, beam, moves in (
+        (["--beam", "20000", "--max-moves", "257"], 20000, 257),
+        (["--max-moves", "257", "--beam", "20000"], 20000, 257),
+        (["--max-moves", "5121"], 1000, 5121),
+        (["--beam", "10", "--max-moves", "257", "--beam", "20000"], 20000, 257),
     ):
         with pytest.raises(SystemExit) as exc:
             parser.parse_args([*SEARCH_E2, *argv])
         assert exc.value.code == 2
-        beam, moves = (20000, 257) if "--beam" in argv else (1000, 5121)
         assert capsys.readouterr().err.endswith(
-            f"powerproof search: error: argument {option}: --beam {beam} times --max-moves {moves} "
+            f"powerproof search: error: argument --max-moves: --beam {beam} times --max-moves {moves} "
             "must be at most 5120000\n"
         )
 
@@ -323,6 +330,11 @@ def test_generated_lengths_are_capped_at_each_rank(capsys):
             assert err.endswith(
                 f"powerproof {argv[0]}: error: argument {option}: {option} {n + 1} at rank {rank} must be at most {n}\n"
             )
+    # like the product bound, the caps read the last value of each option
+    assert parser.parse_args(["bracelets", "--len", "15", "--len", "10"]).len == 10
+    code, out, err = run(capsys, "bracelets", "--rank", "1", "--len", "2187", "--rank", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith("powerproof bracelets: error: argument --len: --len 2187 at rank 2 must be at most 14\n")
 
 
 def test_search_and_verify_at_rank_three(tmp_path, capsys):

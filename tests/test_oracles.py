@@ -193,6 +193,32 @@ def test_reach_one_letter_short_is_rejected(monkeypatch):
     assert failed_examples(oracle, (AssertionError, TypeError)) >= 2
 
 
+def test_both_ends_conjugation_dropped_at_the_cutoff_class_is_rejected(monkeypatch):
+    # the conjugation that cancels both end letters leaves w[1:-1]; a child
+    # of the cutoff class itself is kept, so dropping it there loses a word
+    # the selection would choose
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    both_ends = "c = base - two_spans + w[1]\n                            if c > cutoff:"
+    assert inspect.getsource(search._beam_attempt).count(both_ends) == 1
+    patch_beam_attempt(monkeypatch, (both_ends, both_ends.replace("c > cutoff", "c >= cutoff")))
+    assert failed_examples(oracle) >= 1
+
+
+def test_reach_that_undercounts_a_member_longer_than_the_state_is_rejected(monkeypatch):
+    # a member longer than the state is offered to states of up to
+    # longest - 1 letters, and gives a child of up to n + longest; with
+    # longest - 2 in its place, reach is a length too low once the beam's
+    # longest word has longest - 1 letters, and a child chosen into a frozen
+    # class, filed under a record that is bytes, raises TypeError
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    longer_member = "min(n, longest - 1) + longest) * span"
+    assert inspect.getsource(search._beam_attempt).count(longer_member) == 1
+    patch_beam_attempt(monkeypatch, (longer_member, "min(n, longest - 2) + longest) * span"))
+    assert failed_examples(oracle, (AssertionError, TypeError)) >= 1
+
+
 def test_append_lookup_with_a_str_key_is_rejected(monkeypatch):
     # the append index is keyed by bytes, as the states are; a lookup by the
     # state's tail as str misses every bucket without an error, so the beam

@@ -434,6 +434,16 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 # words to the visited set: at width 1 the beam's one word shrinks and grows
 # again, and a later child re-enters a word it left behind
 @example(bases=[(1,)], exponent=1, factors=[], extra=(1, 2), width=1, depth=34)
+# The example below fails when the conjugation that cancels both end
+# letters, g^-1 the leading g and g the trailing g^-1, is dropped at the
+# cutoff class itself, not only above it: one such child lands exactly on
+# the cutoff class
+@example(bases=[(1,), (2,), (1, 1, 2)], exponent=1, factors=[((), 3), ((1,), 0)], extra=(1, 1), width=2, depth=3)
+# The example below raises TypeError when reach takes a member longer than
+# the state to go on states of up to longest - 2 letters, not longest - 1:
+# the beam's one word AA, one letter shorter than the members aaa and AAA,
+# has one new child, AA AAA, five letters long, which that reach leaves frozen
+@example(bases=[(1,)], exponent=3, factors=[((), 0)], extra=(-1,), width=1, depth=3)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the class cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
