@@ -192,8 +192,8 @@ _rank = _int_in(1, MAX_RANK)
 
 # The beam's memory grows with its width times the depths it runs, so search
 # takes --beam times --max-moves only up to MAX_BEAM times the default
-# --max-moves: about 24 KB per unit of width over 256 failing depths puts
-# that bound near 500 MB.
+# --max-moves: about 16 KB per unit of width over 256 failing depths puts
+# that bound near 320 MB.
 _MAX_BEAM_MOVES = MAX_BEAM * SearchConfig().max_moves
 
 

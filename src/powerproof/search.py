@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 import time
+import zlib
 from dataclasses import dataclass
 from itertools import chain
 
@@ -58,11 +59,11 @@ def replay(log: MoveLog) -> Word:
 
 # The widest beam the CLI's --beam takes.  The beam's memory grows with its
 # width and with the depths it runs.  The E5 search over the Lyndon bases up
-# to length 5 (found after about 95 depths) peaked at 108 MB RSS at width
-# 10,000 and 191 MB at 20,000; a search that fails through all 256 default
-# depths (E5 over the Lyndon bases up to length 3) peaked at 59 MB at width
-# 2,000 and 201 MB at 8,000, about 24 KB per unit of width, so it would
-# cross 1 GB near 43,000.  The CLI also bounds the width times the depths,
+# to length 5 (found after about 95 depths) peaked at 79 MB RSS at width
+# 10,000 and 142 MB at 20,000; a search that fails through all 256 default
+# depths (E5 over the Lyndon bases up to length 3) peaked at 43 MB at width
+# 2,000 and 135 MB at 8,000, about 16 KB per unit of width, so it would
+# cross 1 GB near 65,000.  The CLI also bounds the width times the depths,
 # at MAX_BEAM times the default max_moves.
 # SearchConfig takes any width and depths, since a wide beam run for a few
 # depths stays small.
@@ -192,11 +193,13 @@ def _beam_attempt(
     the beam's longest word: a conjugation child is at most n + 2 letters
     long, an append of a member no longer than the state cancels at least
     half of it, and a longer member gives at most n + longest letters.  The
-    visited words of each class above reach are frozen, joined into one
-    bytes, len bytes per word, and taken out of the set; a frozen class
-    that a later reach covers again is split back into its words, which
-    return to the set.  Every word the node loop looks up is a child of the
-    beam, so it finds the set as if every visited word were in it.
+    visited words of each class above reach are frozen, joined, len bytes
+    per word, compressed by zlib at level 1 into one bytes, and taken out of
+    the set; a class with no words freezes to b"", uncompressed.  A frozen
+    class that a later reach covers again is decompressed and split back
+    into its words, which return to the set.  Every word the node loop
+    looks up is a child of the beam, so it finds the set as if every
+    visited word were in it.
     """
     if start == ():
         return ()
@@ -221,8 +224,8 @@ def _beam_attempt(
     visited = {start_key}
     # The words chosen into the beam, by class: a list of words that are in
     # visited, up to reach, the top class a child of the beam can be of;
-    # above it, frozen, one bytes of the words joined, none of them in
-    # visited.  The start stays in visited.
+    # above it, frozen, one bytes of the words joined and compressed, or b""
+    # for no words, none of them in visited.  The start stays in visited.
     reach = top
     by_visit: list[list[bytes] | bytes] = [[] for _ in range(top + 1)]
     # A node is (word, parent, move, the conjugations it tries), the move
@@ -359,9 +362,10 @@ def _beam_attempt(
         old, reach = reach, min(max(n + 2, min(n, longest - 1) + longest) * span + span - 1, top)
         for c in range(reach + 1, old + 1):
             visited.difference_update(by_visit[c])
-            by_visit[c] = b"".join(by_visit[c])
+            by_visit[c] = zlib.compress(b"".join(by_visit[c]), 1) if by_visit[c] else b""
         for c in range(old + 1, reach + 1):
             frozen, n = by_visit[c], c // span
+            frozen = zlib.decompress(frozen) if frozen else b""
             by_visit[c] = [frozen[i : i + n] for i in range(0, len(frozen), n)]
             visited.update(by_visit[c])
         # the next depth starts one class above the class this one ended at

@@ -180,6 +180,19 @@ def test_thawed_class_kept_out_of_the_visited_set_is_rejected(monkeypatch):
     assert failed_examples(oracle) >= 1
 
 
+def test_thaw_that_skips_the_decompress_is_rejected(monkeypatch):
+    # a frozen class is compressed; thawed without zlib.decompress, its
+    # compressed bytes are cut into words that were never visited, and the
+    # words it froze are built and chosen again.  Of the examples only the
+    # one at width 1 and depth 34 shows the defect
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    decompress = "zlib.decompress(frozen)"
+    assert inspect.getsource(search._beam_attempt).count(decompress) == 1
+    patch_beam_attempt(monkeypatch, (decompress, "frozen"))
+    assert failed_examples(oracle) >= 1
+
+
 def test_reach_one_letter_short_is_rejected(monkeypatch):
     # with reach one length too low, a class that a child of the beam can be
     # of is frozen: its visited words are out of the set, and a child of it,
@@ -217,6 +230,22 @@ def test_reach_that_undercounts_a_member_longer_than_the_state_is_rejected(monke
     assert inspect.getsource(search._beam_attempt).count(longer_member) == 1
     patch_beam_attempt(monkeypatch, (longer_member, "min(n, longest - 2) + longest) * span"))
     assert failed_examples(oracle, (AssertionError, TypeError)) >= 1
+
+
+def test_chosen_words_filed_under_a_shorter_length_are_rejected(monkeypatch):
+    # a frozen class is thawed into words of its class's length, so a word
+    # filed under a shorter length comes back cut into other words: its own
+    # words are lost, and the pieces block words not yet visited.  Two forms,
+    # each tried on its own: one length lower, and len * span less the first
+    # letter's index, a class of the length below unless that letter is a
+    oracle = test_search.test_search_matches_the_full_ranking_oracle
+    explicit_examples(oracle)
+    filed = "len(bucket[0]) * span + bucket[0][0]]"
+    assert inspect.getsource(search._beam_attempt).count(filed) == 1
+    for shorter in ("(len(bucket[0]) - 1) * span + bucket[0][0]]", "len(bucket[0]) * span - bucket[0][0]]"):
+        with monkeypatch.context() as patch:
+            patch_beam_attempt(patch, (filed, shorter))
+            assert failed_examples(oracle) >= 1
 
 
 def test_append_lookup_with_a_str_key_is_rejected(monkeypatch):

@@ -444,6 +444,11 @@ def test_half_rule_memo_keeps_every_entry_that_offers(bases, exponent, rnd):
 # the beam's one word AA, one letter shorter than the members aaa and AAA,
 # has one new child, AA AAA, five letters long, which that reach leaves frozen
 @example(bases=[(1,)], exponent=3, factors=[((), 0)], extra=(-1,), width=1, depth=3)
+# The example below fails when the selection files its words under a class
+# of a shorter length: 13-letter words filed among 12-letter ones, frozen
+# when the beam's words shrink, are thawed a depth later as 12-letter pieces
+# and a 1-letter rest, B, which the next depth then takes for visited
+@example(bases=[(1,)], exponent=4, factors=[((2, 3), 0)], extra=(1, 2, -1), width=6, depth=7)
 def test_search_matches_the_full_ranking_oracle(bases, exponent, factors, extra, width, depth):
     # narrow beams make the class cutoff bind; targets are mostly products
     # of conjugated members, so many searches succeed
@@ -462,7 +467,8 @@ def test_e5_search_freezes_the_visited_classes_out_of_reach():
     # the E5 search over the 41 Lyndon bases, its relator index built first:
     # with every visited word in the visited set its traced peak reads about
     # 13.6 MB; with the classes that no child of the beam can reach frozen
-    # into one bytes each, about 9.3 MB
+    # into one bytes each, about 9.3 MB; with each frozen class compressed
+    # by zlib at level 1, about 6.4 MB, with zlib 1.2.13 and 1.3.1 alike
     relators = symmetrize(lyndon_bases(5), 4)
     relators.append_index
     tracemalloc.start()
@@ -472,7 +478,7 @@ def test_e5_search_freezes_the_visited_classes_out_of_reach():
     finally:
         tracemalloc.stop()
     assert (result.found, result.states_visited, result.moves_tried) == (True, 96_719, 581_867)
-    assert peak < 10_000_000
+    assert peak < 7_500_000
 
 
 def test_search_config_rejects_out_of_range_values():
